@@ -44,11 +44,6 @@ def circle_distance(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
-def signed_circle_gap(x: float, y: float) -> float:
-    """The representative of y - x in [-1/2, 1/2)."""
-    return (y - x + 0.5) % 1.0 - 0.5
-
-
 def apply_map(m: ExpandingMap, x: float) -> float:
     if not 0.0 <= x < 1.0:
         raise ValueError(f"point {x} outside [0, 1)")

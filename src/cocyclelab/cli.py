@@ -1,9 +1,9 @@
 """Command line laboratory: one subcommand per standard experiment.
 
 Every run emits a single JSON report (stdout or --out) whose config and
-results payloads are bitwise reproducible for a fixed seed, whatever the
-worker count.  Exit codes: 0 success, 1 bad configuration, 2 numeric or
-convergence failure, 3 an embedded cross-check failed.
+results payloads are bitwise reproducible for a fixed seed.  Exit codes:
+0 success, 1 bad configuration, 2 numeric or convergence failure, 3 an
+embedded cross-check failed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .cocycle import (
     lyapunov_furstenberg,
     lyapunov_norm_growth,
     perturb,
+    rng_from,
     spec_from_json,
     spec_to_json,
     u_bunching_check,
@@ -38,7 +39,7 @@ from .errors import (
     NumericOverflowError,
 )
 from .holonomy import holonomy_equivariance_residual, u_holonomy
-from .natext import build_realization, conjugacy_residual
+from .natext import aligned_anchor, build_realization, conjugacy_residual
 from .reports import dump_report, make_report, utc_now, write_csv
 from .sections import (
     degree_obstruction,
@@ -82,7 +83,15 @@ DEFAULTS: dict[str, dict] = {
     "natext": {"grid": 4096, "samples": 200, "depth": 20},
 }
 
-COMMON_DEFAULTS = {"k": 8, "seed": DEFAULT_SEED, "workers": 1}
+COMMON_DEFAULTS = {"k": 8, "seed": DEFAULT_SEED}
+
+# settings that must be >= 1
+COUNT_KEYS = frozenset({"steps", "samples", "direction_steps", "trials", "c0_grid",
+                        "max_period", "pairs", "max_depth", "grid", "iterations",
+                        "restarts", "depth"})
+# settings whose default is null, and the type of a non-null value
+NULLABLE_TYPES = {"burn_in": int, "theta": float}
+METHODS = ("both", "norm-growth", "furstenberg")
 
 
 def build_parser() -> _Parser:
@@ -96,7 +105,8 @@ def build_parser() -> _Parser:
                         "(default: diag(2, 1/2) with a full twist)")
         sp.add_argument("--k", type=int, help="degree of the base map x -> kx mod 1")
         sp.add_argument("--seed", type=int, help="root seed for all randomness")
-        sp.add_argument("--workers", type=int, help="sampling threads; results do not depend on this")
+        sp.add_argument("--workers", type=int,
+                        help="accepted and ignored; sampling is single-threaded")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--csv", help="also write the tabular results as CSV")
 
@@ -108,7 +118,7 @@ def build_parser() -> _Parser:
                     help="product length fixing the stable direction")
     sp.add_argument("--burn-in", dest="burn_in", type=int,
                     help="alignment steps before averaging begins")
-    sp.add_argument("--method", choices=["both", "norm-growth", "furstenberg"])
+    sp.add_argument("--method", choices=METHODS)
 
     sp = sub.add_parser("robustness", help="exponent under many C0-small perturbations")
     common(sp)
@@ -175,10 +185,11 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
                 file_cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}") from e
-        unknown = set(file_cfg) - set(cfg) - {"spec"}
+        # "workers" is accepted and ignored, like the --workers flag
+        unknown = set(file_cfg) - set(cfg) - {"spec", "workers"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update({k: v for k, v in file_cfg.items() if k != "spec"})
+        cfg.update({k: v for k, v in file_cfg.items() if k in cfg})
 
     for key in cfg:
         val = getattr(args, key, None)
@@ -190,6 +201,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
             cfg["j_values"] = [int(t) for t in cfg["j_values"].split(",") if t]
         except ValueError as e:
             raise ConfigError(f"bad --j-values: {e}") from e
+    _validate(cfg, {**COMMON_DEFAULTS, **DEFAULTS[cmd]})
 
     spec_data = None
     if args.spec:
@@ -206,7 +218,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
             spec = full_twist_spec(Mat2.diagonal(2.0))
         else:
             spec = spec_from_json(spec_data)
-        map_ = ExpandingMap(int(cfg["k"]))
+        map_ = ExpandingMap(cfg["k"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -215,8 +227,31 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
     return cfg, spec, map_
 
 
-def _estimate_block(est) -> dict:
-    return est.to_dict()
+def _validate(cfg: dict, defaults: dict) -> None:
+    """Each setting must have the type of its default and a usable value.
+
+    A bool is never an int; an int is accepted where a float is expected
+    and stored as that float, so the report records what actually ran.
+    """
+    for key, val in cfg.items():
+        if key in NULLABLE_TYPES:
+            if val is None:
+                continue
+            want = NULLABLE_TYPES[key]
+        else:
+            want = type(defaults[key])
+        if want is float and type(val) is int:
+            val = cfg[key] = float(val)
+        if isinstance(val, bool) or not isinstance(val, want):
+            raise ConfigError(f"{key} must be of type {want.__name__}, got {val!r}")
+        if key in COUNT_KEYS and val < 1:
+            raise ConfigError(f"{key} must be >= 1, got {val}")
+        if key in ("burn_in", "tol") and not val >= 0:
+            raise ConfigError(f"{key} must be >= 0, got {val}")
+        if key == "method" and val not in METHODS:
+            raise ConfigError(f"method must be one of {list(METHODS)}, got {val!r}")
+        if key == "j_values" and not (val and all(type(j) is int and j >= 1 for j in val)):
+            raise ConfigError(f"j_values must be a non-empty list of positive integers, got {val}")
 
 
 def cmd_lyap(cfg, spec, map_):
@@ -224,13 +259,12 @@ def cmd_lyap(cfg, spec, map_):
     estimates = {}
     if method in ("both", "norm-growth"):
         est = lyapunov_norm_growth(spec, map_, cfg["steps"], cfg["samples"],
-                                   seed=(cfg["seed"], 0), workers=cfg["workers"],
-                                   burn_in=cfg["burn_in"])
-        estimates["norm_growth"] = _estimate_block(est)
+                                   seed=(cfg["seed"], 0), burn_in=cfg["burn_in"])
+        estimates["norm_growth"] = est.to_dict()
     if method in ("both", "furstenberg"):
         est = lyapunov_furstenberg(spec, map_, cfg["direction_steps"], cfg["samples"],
-                                   seed=(cfg["seed"], 1), workers=cfg["workers"])
-        estimates["furstenberg"] = _estimate_block(est)
+                                   seed=(cfg["seed"], 1))
+        estimates["furstenberg"] = est.to_dict()
     results = {"estimates": estimates}
     code = EXIT_OK
     if method == "both":
@@ -249,8 +283,7 @@ def cmd_lyap(cfg, spec, map_):
 
 def cmd_robustness(cfg, spec, map_):
     base = lyapunov_norm_growth(spec, map_, cfg["steps"], cfg["samples"],
-                                seed=(cfg["seed"], 0), workers=cfg["workers"],
-                                burn_in=cfg["burn_in"])
+                                seed=(cfg["seed"], 0), burn_in=cfg["burn_in"])
     threshold = 0.5 * base.value
     trials = []
     values = []
@@ -258,14 +291,13 @@ def cmd_robustness(cfg, spec, map_):
         pspec = perturb(spec, cfg["epsilon"], seed=(cfg["seed"], t + 1, 0))
         gap = c0_distance(spec, pspec, grid_n=cfg["c0_grid"])
         est = lyapunov_norm_growth(pspec, map_, cfg["steps"], cfg["samples"],
-                                   seed=(cfg["seed"], t + 1, 1), workers=cfg["workers"],
-                                   burn_in=cfg["burn_in"])
+                                   seed=(cfg["seed"], t + 1, 1), burn_in=cfg["burn_in"])
         values.append(est.value)
         trials.append({"trial": t, "c0_grid": gap.grid, "c0_certified": gap.certified,
                        "value": est.value, "std_error": est.std_error})
     n_below = sum(1 for v in values if v < threshold)
     results = {
-        "baseline": _estimate_block(base),
+        "baseline": base.to_dict(),
         "threshold": threshold,
         "trials": trials,
         "summary": {
@@ -310,22 +342,18 @@ def _spearman(xs: list[float], ys: list[float]) -> float:
 
 def cmd_continuity(cfg, spec, map_):
     base = lyapunov_norm_growth(spec, map_, cfg["steps"], cfg["samples"],
-                                seed=(cfg["seed"], 0), workers=cfg["workers"],
-                                burn_in=cfg["burn_in"])
+                                seed=(cfg["seed"], 0), burn_in=cfg["burn_in"])
     rows = []
     for idx, j in enumerate(cfg["j_values"]):
-        if j < 1:
-            raise ConfigError("j values must be positive integers")
         jspec = replace(spec, terms=spec.terms + (TwistTerm(1, 1.0 / j, 0.0),))
         gap = c0_distance(spec, jspec, grid_n=cfg["c0_grid"])
         est = lyapunov_norm_growth(jspec, map_, cfg["steps"], cfg["samples"],
-                                   seed=(cfg["seed"], 1, idx), workers=cfg["workers"],
-                                   burn_in=cfg["burn_in"])
+                                   seed=(cfg["seed"], 1, idx), burn_in=cfg["burn_in"])
         rows.append({"j": j, "c0_certified": gap.certified, "value": est.value,
                      "std_error": est.std_error, "delta": abs(est.value - base.value)})
     sp = _spearman([r["c0_certified"] for r in rows], [r["delta"] for r in rows])
     ok = sp > 0.0
-    results = {"baseline": _estimate_block(base), "rows": rows,
+    results = {"baseline": base.to_dict(), "rows": rows,
                "trend": {"spearman": sp, "pass": ok}}
     csv = (["j", "c0_certified", "value", "std_error", "delta"],
            [[r["j"], r["c0_certified"], r["value"], r["std_error"], r["delta"]] for r in rows])
@@ -363,8 +391,6 @@ def cmd_scan_periodic(cfg, spec, map_):
 
 
 def cmd_holonomy(cfg, spec, map_):
-    from .cocycle import rng_from
-
     k = map_.k
     pairs = []
     n_conv = 0
@@ -452,9 +478,6 @@ def cmd_section(cfg, spec, map_):
 
 
 def cmd_natext(cfg, spec, map_):
-    from .cocycle import rng_from
-    from .natext import aligned_anchor
-
     real = build_realization(map_, grid_n=cfg["grid"])
     depth = cfg["depth"]
     max_resid = 0.0
@@ -514,10 +537,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # thread count is execution detail, not experiment identity: reports
-    # from different --workers must be byte-identical
-    report_cfg = {key: val for key, val in cfg.items() if key != "workers"}
-    report = make_report(args.command, report_cfg, results, started)
+    report = make_report(args.command, cfg, results, started)
     dump_report(report, args.out)
     if args.csv:
         header, rows = csv

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import ExpandingMap, apply_map, orbit_from_digits, window_width
+from .circle import ExpandingMap, orbit_from_digits, window_width
 from .errors import NoHyperbolicityError, NumericOverflowError
 from .sl2 import Mat2, ProjPoint, _svd_raw, op_norm
 
@@ -134,16 +134,26 @@ def spec_to_json(spec: CocycleSpec) -> dict:
     }
 
 
+def _integral(name: str, v) -> int:
+    """v as an int if it is an integral number; never truncates."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def spec_from_json(data: dict) -> CocycleSpec:
     try:
         base = Mat2.from_rows(data["base"])
         terms = tuple(
-            TwistTerm(int(t["freq"]), float(t["amp"]), float(t.get("phase", 0.0)))
+            TwistTerm(_integral("freq", t["freq"]), float(t["amp"]),
+                      float(t.get("phase", 0.0)))
             for t in data.get("twist", [])
         )
         return CocycleSpec(
             base=base,
-            winding=int(data.get("winding", 0)),
+            winding=_integral("winding", data.get("winding", 0)),
             terms=terms,
             theta=float(data.get("theta", 1.0)),
         )
@@ -219,28 +229,19 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     """A^n(x) = A(f^{n-1}x) ... A(x) as a ScaledMatrix, stable to n = 10^7.
 
     The base orbit is the true float orbit of x; for k a power of two this
-    is the exact orbit of the dyadic rational x denotes.
+    is the exact orbit of the dyadic rational x denotes.  It is held as a
+    list of n floats and multiplied out by _product_along.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"point {x} outside [0, 1)")
-    ba, bb, bc, bd, wind, terms = _matrix_consts(spec)
     k = float(m.k)
-    ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
+    xs = []
     for _ in range(n):
-        g = wind * x
-        for tf, amp, ph in terms:
-            g += amp * math.sin(tf * x + ph)
-        ang = TWO_PI * g
-        cs, sn = math.cos(ang), math.sin(ang)
-        ea = ba * cs + bb * sn
-        eb = -ba * sn + bb * cs
-        ec = bc * cs + bd * sn
-        ed = -bc * sn + bd * cs
-        ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed)
+        xs.append(x)
         x = (k * x) % 1.0
-    return ScaledMatrix(ma, mb, mc, md, logs)
+    return _product_along(spec, xs)
 
 
 def _product_along(spec: CocycleSpec, xs) -> ScaledMatrix:
@@ -296,16 +297,6 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _indexed_map(fn, n: int, workers: int) -> list:
-    """fn(0..n-1) with results in index order regardless of worker count."""
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _norm_growth_sample(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
                         rng: np.random.Generator) -> float:
     w = window_width(k)
@@ -346,23 +337,21 @@ def _norm_growth_sample(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
 
 def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
                          n_samples: int = 32, seed=DEFAULT_SEED,
-                         workers: int = 1, burn_in: int | None = None) -> LyapunovEstimate:
+                         burn_in: int | None = None) -> LyapunovEstimate:
     """Mean per-step log growth of a unit vector over random orbits.
 
     Each sample follows an independent Lebesgue-random orbit (digit-stream
     simulation) from an independent random starting direction; a short
     burn-in lets the vector align before averaging starts.  Bitwise
-    reproducible for fixed seed, independent of workers.
+    reproducible for a fixed seed.
     """
     if n_steps < 1 or n_samples < 1:
         raise ValueError("n_steps and n_samples must be >= 1")
     if burn_in is None:
         burn_in = min(100, max(1, n_steps // 10))
 
-    def one(i: int) -> float:
-        return _norm_growth_sample(spec, m.k, n_steps, burn_in, rng_from(seed, i))
-
-    values = _indexed_map(one, n_samples, workers)
+    values = [_norm_growth_sample(spec, m.k, n_steps, burn_in, rng_from(seed, i))
+              for i in range(n_samples)]
     mean, se = _mean_stderr(values)
     return LyapunovEstimate(mean, se, n_steps, n_samples, seed, "norm_growth")
 
@@ -404,8 +393,7 @@ def _furstenberg_sample(spec: CocycleSpec, m: ExpandingMap, n_direction: int,
 
 
 def lyapunov_furstenberg(spec: CocycleSpec, m: ExpandingMap, n_direction: int = 256,
-                         n_samples: int = 32, seed=DEFAULT_SEED,
-                         workers: int = 1) -> LyapunovEstimate:
+                         n_samples: int = 32, seed=DEFAULT_SEED) -> LyapunovEstimate:
     """Space average of -phi(x, E^s(x)) over random x.
 
     The stable direction is a function of the forward orbit alone, so a
@@ -417,11 +405,9 @@ def lyapunov_furstenberg(spec: CocycleSpec, m: ExpandingMap, n_direction: int = 
     if n_direction < 8 or n_samples < 1:
         raise ValueError("need n_direction >= 8 and n_samples >= 1")
 
-    def one(i: int) -> float:
-        return _furstenberg_sample(spec, m, n_direction, rng_from(seed, i))
-
     try:
-        values = _indexed_map(one, n_samples, workers)
+        values = [_furstenberg_sample(spec, m, n_direction, rng_from(seed, i))
+                  for i in range(n_samples)]
     except NoHyperbolicityError:
         return LyapunovEstimate(0.0, 0.0, n_direction, n_samples, seed,
                                 "furstenberg", degenerate=True)

@@ -33,11 +33,9 @@ import math
 from dataclasses import dataclass
 
 from .circle import BackwardItinerary, ExpandingMap, circle_distance, shift_forward
-from .cocycle import TWO_PI, CocycleSpec, evaluate
+from .cocycle import TWO_PI, CocycleSpec, _product_step, evaluate
 from .errors import HolonomyDivergedError, LeafMismatchError, NumericOverflowError
 from .sl2 import Mat2, _svd_raw
-
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -153,26 +151,15 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
             depth_used = depth
             break
 
-        # extend both factored products one level down the leaf
+        # extend both factored products one level down the leaf: P <- P . A(z)
         ym = (xm + delta) % 1.0
-        xa, xb, xc, xd, sx = _extend(spec, xm, xa, xb, xc, xd, sx)
-        ya, yb, yc, yd, sy = _extend(spec, ym, ya, yb, yc, yd, sy)
+        ax = evaluate(spec, xm)
+        xa, xb, xc, xd, sx = _product_step(ax.a, ax.b, ax.c, ax.d, sx, xa, xb, xc, xd)
+        ay = evaluate(spec, ym)
+        ya, yb, yc, yd, sy = _product_step(ay.a, ay.b, ay.c, ay.d, sy, ya, yb, yc, yd)
 
     h = _as_group_element(ha, hb, hc, hd, converged)
     return HolonomyResult(h, depth_used, residuals[-1], converged, tuple(residuals))
-
-
-def _extend(spec: CocycleSpec, z: float, pa, pb, pc, pd, s):
-    a = evaluate(spec, z)
-    na = pa * a.a + pb * a.c
-    nb = pa * a.b + pb * a.d
-    nc = pc * a.a + pd * a.c
-    nd = pc * a.b + pd * a.d
-    fr = math.sqrt(na * na + nb * nb + nc * nc + nd * nd)
-    if not (fr > 0.0 and math.isfinite(fr)):
-        raise NumericOverflowError("non-finite holonomy partial product")
-    inv = SQRT2 / fr
-    return na * inv, nb * inv, nc * inv, nd * inv, s + math.log(fr / SQRT2)
 
 
 def _as_group_element(a, b, c, d, converged: bool) -> Mat2 | None:

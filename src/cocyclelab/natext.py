@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import BackwardItinerary, ExpandingMap, apply_map
+from .circle import BackwardItinerary, ExpandingMap, apply_map, shift_backward, truncate_itinerary
 from .errors import DepthError
 
 
@@ -188,8 +188,6 @@ def conjugacy_residual(real: NatExtRealization, it: BackwardItinerary) -> tuple[
     fiber_step; with an anchor whose digit sums stay exactly representable
     (see aligned_anchor) the residual is exactly zero.
     """
-    from .circle import shift_backward
-
     if it.depth < 1:
         raise ValueError("need depth >= 1")
     a = iota(real, it).point
@@ -209,8 +207,6 @@ def truncation_gap(real: NatExtRealization, it: BackwardItinerary) -> tuple[floa
     of norm at most lam^(d-1) * sqrt(2)/(2N) < lam^(d-1).  Meaningful only
     while that bound clears the float64 noise floor (depth <~ 12).
     """
-    from .circle import truncate_itinerary
-
     if it.depth < 2:
         raise ValueError("need depth >= 2")
     d = it.depth - 1

@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import ExpandingMap
-from .cocycle import CocycleSpec, evaluate, oseledets_stable_direction
+from .cocycle import CocycleSpec, evaluate, oseledets_stable_direction, rng_from
 from .errors import DegreeCheckError, NoHyperbolicityError, ResolutionError
-from .sl2 import ProjPoint, projective_action
+from .sl2 import ProjPoint, proj_distance, projective_action
 
 PI = math.pi
 MAX_GAP = PI / 4.0
@@ -208,8 +208,6 @@ def section_consistency_search(spec: CocycleSpec, m: ExpandingMap,
         raise ValueError("init loop grid does not match grid_n")
     samples = init.samples
     if seed is not None:
-        from .cocycle import rng_from
-
         jitter = rng_from(seed).uniform(-0.3, 0.3, size=grid_n)
         samples = np.mod(samples + jitter, PI)
     loop = ProjectiveLoop(samples)
@@ -227,8 +225,6 @@ def section_consistency_search(spec: CocycleSpec, m: ExpandingMap,
 
 def section_residual(spec: CocycleSpec, m: ExpandingMap, loop: ProjectiveLoop) -> float:
     """sup over grid points of the spread of {xi(y)} u {A(x) xi(x): f(x) = y}."""
-    from .sl2 import proj_distance
-
     worst = 0.0
     for j in range(loop.n):
         y = j / loop.n

@@ -101,8 +101,7 @@ def test_criterion_03_estimators_agree_on_example():
     cc = results["cross_check"]
     with open(BASELINES / "lyap_example_k8.json") as f:
         frozen = json.load(f)
-    report = make_report("lyap", {k: v for k, v in cfg.items() if k != "workers"},
-                         results, started="")
+    report = make_report("lyap", cfg, results, started="")
     frozen_match = canonical_payload(report) == canonical_payload(frozen)
     ok = (code == 0 and cc["pass"] and elapsed < 30.0 and frozen_match
           and results["estimates"]["norm_growth"]["value"] > 0.2)
@@ -288,9 +287,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
         for workers in ("1", "3", "1"):
             cfg, results, _ = run_command(
                 [command, *fast[command], "--workers", workers])
-            report = make_report(
-                command, {k: v for k, v in cfg.items() if k != "workers"},
-                results, started="")
+            report = make_report(command, cfg, results, started="")
             payloads.add(canonical_payload(report))
         if len(payloads) != 1:
             mismatches.append(command)

@@ -106,6 +106,39 @@ def test_bad_j_values(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args,config,key", [
+    (["lyap"], {"k": 2.9}, "k"),
+    (["lyap"], {"steps": 1000.5}, "steps"),
+    (["lyap"], {"samples": True}, "samples"),
+    (["lyap", "--burn-in", "-5"], None, "burn_in"),
+    (["lyap"], {"method": "fourier"}, "method"),
+    (["bunching", "--grid", "0"], None, "grid"),
+    (["continuity", "--j-values", ","], None, "j_values"),
+    (["holonomy", "--max-depth", "0"], None, "max_depth"),
+    (["robustness", "--trials", "0"], None, "trials"),
+    (["scan-periodic", "--tol", "-5"], None, "tol"),
+], ids=["float-k", "float-steps", "bool-samples", "negative-burn-in", "unknown-method",
+        "zero-grid", "empty-j-values", "zero-max-depth", "zero-trials", "negative-tol"])
+def test_invalid_settings_are_config_errors(args, config, key, tmp_path, capsys):
+    """Bad values stop in resolve_config: exit 1 with one error line that
+    names the setting, and no traceback."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", str(cfg)]
+    code, report = run_cli(args, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1 and report is None
+    assert err.startswith(f"error: {key} must ") and "Traceback" not in err
+
+
+def test_int_setting_accepted_as_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 1}))
+    code, report = run_cli(["bunching", "--grid", "512", "--config", str(cfg)], tmp_path)
+    assert code == 0 and isinstance(report["config"]["theta"], float)
+
+
 def test_natext_k_beyond_anchor_lattice(tmp_path, capsys):
     code, _ = run_cli(["natext", "--k", "9", "--grid", "256",
                        "--samples", "2", "--depth", "6"], tmp_path)
@@ -171,6 +204,10 @@ def test_worker_count_does_not_mark_the_report(tmp_path):
     _, r1 = run_cli([*base, "--workers", "1"], tmp_path, "w1.json")
     _, r3 = run_cli([*base, "--workers", "3"], tmp_path, "w3.json")
     assert canonical_payload(r1) == canonical_payload(r3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 4}))  # accepted and ignored, like the flag
+    _, r4 = run_cli([*base, "--config", str(cfg)], tmp_path, "w4.json")
+    assert canonical_payload(r1) == canonical_payload(r4)
 
 
 def test_seed_changes_results(tmp_path):
@@ -237,13 +274,14 @@ def test_spec_file_overrides_config_spec(tmp_path):
 
 # -- frozen baselines ------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [2, 8])
-def test_natext_baseline_regenerates(k, tmp_path):
-    """Default-config natext runs must reproduce the frozen first-run
-    reports byte for byte (timestamps aside)."""
-    with open(BASELINES / f"natext_k{k}.json") as f:
+@pytest.mark.parametrize("command,k", [("natext", 2), ("natext", 8), ("holonomy", 8)])
+def test_baseline_regenerates(command, k, tmp_path):
+    """Default-config runs must reproduce the frozen first-run reports
+    byte for byte (timestamps aside)."""
+    with open(BASELINES / f"{command}_k{k}.json") as f:
         frozen = json.load(f)
-    code, report = run_cli(["natext", "--k", str(k)], tmp_path)
+    code, report = run_cli([command, "--k", str(k)], tmp_path)
     assert code == 0
     assert canonical_payload(report) == canonical_payload(frozen)
-    assert report["results"]["conjugacy"]["max_residual"] == 0.0
+    if command == "natext":
+        assert report["results"]["conjugacy"]["max_residual"] == 0.0
