@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_ENUMERATION = 10_000_000
 
@@ -151,18 +152,26 @@ def shift_backward(it: BackwardItinerary) -> BackwardItinerary:
 # ceil(53/log2 k) steps.  That is the true orbit of the dyadic rational the
 # float denotes, but it is useless for sampling Lebesgue-typical behavior.
 # A Lebesgue-random point has iid uniform base-k digits, and its orbit is
-# the digit shift; we simulate it exactly by sliding a window of fresh
-# digits through an integer register.
+# the digit shift; we simulate it exactly by reading each window of w
+# consecutive digits as one base-k integer, below k^w <= 2^62 in int64.
 
 
 def window_width(k: int) -> int:
-    """Digits per register so that k^width is close to (and at most) 2^62."""
+    """Digits per window so that k^width is close to (and at most) 2^62."""
     if k > 512:
         raise ValueError("digit-stream orbits support k <= 512")
     w = int(62 / math.log2(k))
     while k ** (w + 1) <= 2**62:
         w += 1
     return w
+
+
+def _orbit(k: int, digits, n: int) -> np.ndarray:
+    """x_0 .. x_{n-1} from a digit stream; each window read exactly in int64."""
+    w = window_width(k)
+    d = np.asarray(digits[:n + w], dtype=np.int64)
+    powers = k ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    return (sliding_window_view(d, w)[:n] @ powers) / float(k**w)
 
 
 def orbit_from_digits(k: int, digits, n: int) -> np.ndarray:
@@ -175,17 +184,7 @@ def orbit_from_digits(k: int, digits, n: int) -> np.ndarray:
     w = window_width(k)
     if len(digits) < n + w:
         raise ValueError(f"need {n + w} digits, got {len(digits)}")
-    kw = k**w
-    kw1 = k ** (w - 1)
-    kw_f = float(kw)
-    reg = 0
-    for j in range(w):
-        reg = reg * k + int(digits[j])
-    out = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        out[j] = reg / kw_f
-        reg = (reg % kw1) * k + int(digits[w + j])
-    return out
+    return _orbit(k, digits, n)
 
 
 # -- periodic points ---------------------------------------------------------

@@ -47,7 +47,7 @@ from .sections import (
     stable_direction_loop,
     twist_degree,
 )
-from .sl2 import Mat2, is_hyperbolic
+from .sl2 import DET_TOL, Mat2, is_hyperbolic
 
 CROSS_CHECK_FLOOR = 1e-9
 
@@ -218,6 +218,11 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
             spec = full_twist_spec(Mat2.diagonal(2.0))
         else:
             spec = spec_from_json(spec_data)
+            (a, b), (c, d) = (map(float, row) for row in spec_data["base"])
+            det = a * d - b * c
+            if abs(det - 1.0) > DET_TOL:
+                print(f"warning: spec base has determinant {det:g}; rescaled to 1",
+                      file=sys.stderr)
         map_ = ExpandingMap(cfg["k"])
     except ValueError as e:
         raise ConfigError(str(e)) from e

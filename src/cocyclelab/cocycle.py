@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import ExpandingMap, orbit_from_digits, window_width
+from .circle import ExpandingMap, _orbit, orbit_from_digits, window_width
 from .errors import NoHyperbolicityError, NumericOverflowError
 from .sl2 import Mat2, ProjPoint, _svd_raw, op_norm
 
@@ -28,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_SEED = 31415926
+
+# orbit points per array pass in the product loops; bounds their scratch memory
+_BLOCK = 4096
 
 
 def rng_from(*keys) -> np.random.Generator:
@@ -166,10 +169,12 @@ def evaluate(spec: CocycleSpec, x: float) -> Mat2:
     return spec.base @ Mat2.rotation(TWO_PI * spec.twist(x))
 
 
-def _matrix_consts(spec: CocycleSpec):
-    b = spec.base
-    terms = tuple((TWO_PI * t.freq, t.amp, t.phase) for t in spec.terms)
-    return b.a, b.b, b.c, b.d, float(spec.winding), terms
+def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
+    """TWO_PI * g(x) over an array, term for term as CocycleSpec.twist."""
+    g = spec.winding * xs
+    for t in spec.terms:
+        g += t.amp * np.sin(TWO_PI * t.freq * xs + t.phase)
+    return TWO_PI * g
 
 
 # -- scaled products ----------------------------------------------------------
@@ -246,19 +251,17 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
 
 def _product_along(spec: CocycleSpec, xs) -> ScaledMatrix:
     """Scaled product of A over an explicit orbit segment (first entry first)."""
-    ba, bb, bc, bd, wind, terms = _matrix_consts(spec)
+    b = spec.base
+    ba, bb, bc, bd = b.a, b.b, b.c, b.d
     ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
-    for x in xs:
-        g = wind * x
-        for tf, amp, ph in terms:
-            g += amp * math.sin(tf * x + ph)
-        ang = TWO_PI * g
-        cs, sn = math.cos(ang), math.sin(ang)
-        ea = ba * cs + bb * sn
-        eb = -ba * sn + bb * cs
-        ec = bc * cs + bd * sn
-        ed = -bc * sn + bd * cs
-        ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed)
+    for lo in range(0, len(xs), _BLOCK):
+        ang = _angles(spec, np.asarray(xs[lo:lo + _BLOCK], dtype=np.float64))
+        for cs, sn in zip(np.cos(ang).tolist(), np.sin(ang).tolist()):
+            ea = ba * cs + bb * sn
+            eb = -ba * sn + bb * cs
+            ec = bc * cs + bd * sn
+            ed = -bc * sn + bd * cs
+            ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed)
     return ScaledMatrix(ma, mb, mc, md, logs)
 
 
@@ -301,37 +304,27 @@ def _norm_growth_sample(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
                         rng: np.random.Generator) -> float:
     w = window_width(k)
     total = burn_in + n_steps
-    digits = rng.integers(0, k, size=total + w).tolist()
+    digits = rng.integers(0, k, size=total + w)
     theta0 = rng.random() * math.pi
     vx, vy = math.cos(theta0), math.sin(theta0)
 
-    ba, bb, bc, bd, wind, terms = _matrix_consts(spec)
-    kw1 = k ** (w - 1)
-    kw_f = float(k**w)
-    reg = 0
-    for j in range(w):
-        reg = reg * k + digits[j]
-
-    sin, cos, log, sqrt = math.sin, math.cos, math.log, math.sqrt
+    b = spec.base
+    ba, bb, bc, bd = b.a, b.b, b.c, b.d
+    log, sqrt = math.log, math.sqrt
     acc = 0.0
-    for j in range(total):
-        x = reg / kw_f
-        g = wind * x
-        for tf, amp, ph in terms:
-            g += amp * sin(tf * x + ph)
-        ang = TWO_PI * g
-        cs, sn = cos(ang), sin(ang)
-        rx = cs * vx - sn * vy
-        ry = sn * vx + cs * vy
-        wx = ba * rx + bb * ry
-        wy = bc * rx + bd * ry
-        nrm = sqrt(wx * wx + wy * wy)
-        if j >= burn_in:
-            acc += log(nrm)
-        inv = 1.0 / nrm
-        vx = wx * inv
-        vy = wy * inv
-        reg = (reg % kw1) * k + digits[w + j]
+    for lo in range(0, total, _BLOCK):
+        ang = _angles(spec, _orbit(k, digits[lo:], min(_BLOCK, total - lo)))
+        for j, (cs, sn) in enumerate(zip(np.cos(ang).tolist(), np.sin(ang).tolist()), lo):
+            rx = cs * vx - sn * vy
+            ry = sn * vx + cs * vy
+            wx = ba * rx + bb * ry
+            wy = bc * rx + bd * ry
+            nrm = sqrt(wx * wx + wy * wy)
+            if j >= burn_in:
+                acc += log(nrm)
+            inv = 1.0 / nrm
+            vx = wx * inv
+            vy = wy * inv
     return acc / n_steps
 
 
@@ -349,6 +342,8 @@ def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
         raise ValueError("n_steps and n_samples must be >= 1")
     if burn_in is None:
         burn_in = min(100, max(1, n_steps // 10))
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
 
     values = [_norm_growth_sample(spec, m.k, n_steps, burn_in, rng_from(seed, i))
               for i in range(n_samples)]

@@ -56,7 +56,7 @@ class ProjectiveLoop:
         t = x * self.n
         j = int(t)
         frac = t - j
-        s0 = self.samples[j]
+        s0 = self.samples[j % self.n]  # x % 1.0 can round up to 1.0
         s1 = self.samples[(j + 1) % self.n]
         step = (s1 - s0 + PI / 2.0) % PI - PI / 2.0
         return (s0 + frac * step) % PI

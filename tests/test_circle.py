@@ -221,6 +221,23 @@ def test_orbit_shift_is_the_map():
         assert float(np.max(gaps)) <= k * 2.0**-62 + 2.0**-51
 
 
+@pytest.mark.parametrize("k", [2, 3, 8, 10, 512])
+def test_orbit_is_the_integer_register_reading(k):
+    w = window_width(k)
+    n = 300
+    digits = np.random.default_rng(k).integers(0, k, n + w)
+    expected = []
+    for j in range(n):
+        reg = 0
+        for d in digits[j:j + w]:
+            reg = reg * k + int(d)
+        expected.append(reg / float(k**w))
+    assert np.array_equal(orbit_from_digits(k, digits, n), expected)
+    assert np.array_equal(orbit_from_digits(k, list(digits), n), expected)
+    empty = orbit_from_digits(k, digits[:w], 0)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 def test_orbit_requires_window_surplus():
     with pytest.raises(ValueError):
         orbit_from_digits(2, [0, 1] * 20, 40)

@@ -87,6 +87,19 @@ def test_unknown_config_key(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rescaled_spec_base_warns(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": [[2.0, 0.0], [0.0, 2.0]], "winding": 1}))
+    code, report = run_cli(["degree", "--grid", "512", "--spec", str(spec)], tmp_path)
+    assert code == 0
+    assert report["config"]["spec"]["base"] == [[1.0, 0.0], [0.0, 1.0]]
+    err = capsys.readouterr().err
+    assert "warning: spec base has determinant 4; rescaled to 1" in err
+    spec.write_text(json.dumps({"base": [[2.0, 0.0], [0.0, 0.5]], "winding": 1}))
+    assert run_cli(["degree", "--grid", "512", "--spec", str(spec)], tmp_path)[0] == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_malformed_config_and_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -274,14 +287,21 @@ def test_spec_file_overrides_config_spec(tmp_path):
 
 # -- frozen baselines ------------------------------------------------------------------
 
-@pytest.mark.parametrize("command,k", [("natext", 2), ("natext", 8), ("holonomy", 8)])
-def test_baseline_regenerates(command, k, tmp_path):
-    """Default-config runs must reproduce the frozen first-run reports
-    byte for byte (timestamps aside)."""
-    with open(BASELINES / f"{command}_k{k}.json") as f:
+@pytest.mark.parametrize("baseline,args", [
+    pytest.param("natext_k2", ["natext", "--k", "2"], id="natext-2"),
+    pytest.param("natext_k8", ["natext", "--k", "8"], id="natext-8"),
+    pytest.param("holonomy_k8", ["holonomy", "--k", "8"], id="holonomy-8"),
+    # k = 3 windows are not a power of two; perturbed specs carry 8 twist terms
+    pytest.param("robustness_k3", ["robustness", "--k", "3", "--trials", "4"],
+                 id="robustness-3"),
+])
+def test_baseline_regenerates(baseline, args, tmp_path):
+    """Runs with the recorded arguments must reproduce the frozen
+    first-run reports byte for byte (timestamps aside)."""
+    with open(BASELINES / f"{baseline}.json") as f:
         frozen = json.load(f)
-    code, report = run_cli([command, "--k", str(k)], tmp_path)
+    code, report = run_cli(args, tmp_path)
     assert code == 0
     assert canonical_payload(report) == canonical_payload(frozen)
-    if command == "natext":
+    if args[0] == "natext":
         assert report["results"]["conjugacy"]["max_residual"] == 0.0

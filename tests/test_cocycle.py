@@ -30,7 +30,7 @@ from cocyclelab import (
     spec_to_json,
     u_bunching_check,
 )
-from cocyclelab.cocycle import DEFAULT_SEED
+from cocyclelab.cocycle import DEFAULT_SEED, _angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,6 +113,15 @@ def test_twist_gap_matches_difference(x, delta):
     if delta > 1e-5:
         naive = spec.twist(x + delta) - spec.twist(x)
         assert gap == pytest.approx(naive, abs=1e-11)
+
+
+def test_angles_match_scalar_twist_bitwise():
+    spec = perturb(example_spec(), 0.05, seed=(4, 2))
+    assert len(spec.terms) == 8
+    xs = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
+                         np.random.default_rng(11).random(2000)])
+    expected = np.array([TWO_PI * spec.twist(float(x)) for x in xs])
+    assert np.array_equal(_angles(spec, xs), expected)
 
 
 def test_twist_lipschitz_bounds_numeric_slope():
@@ -228,6 +237,8 @@ def test_norm_growth_rejects_bad_sizes():
         lyapunov_norm_growth(example_spec(), example_map(), n_steps=0)
     with pytest.raises(ValueError):
         lyapunov_norm_growth(example_spec(), example_map(), n_steps=10, n_samples=0)
+    with pytest.raises(ValueError):
+        lyapunov_norm_growth(example_spec(), example_map(), n_steps=2000, burn_in=-100)
 
 
 # -- stable directions and the space-average estimator -------------------------

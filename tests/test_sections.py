@@ -63,6 +63,9 @@ def test_loop_value_interpolates_on_grid():
     for j in (0, 1, 31, 63):
         assert loop.value(j / 64) == pytest.approx(loop.samples[j], abs=1e-15)
     assert loop.value(1.0) == pytest.approx(loop.samples[0], abs=1e-15)
+    # -1e-20 % 1.0 rounds to 1.0, one past the last sample index
+    assert loop.value(-1e-20) == loop.samples[0]
+    assert ProjectiveLoop(np.linspace(0, 1, 8)).value(-1e-20) == 0.0
 
 
 def test_loop_value_takes_shorter_arc():
