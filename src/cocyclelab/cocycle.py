@@ -177,6 +177,15 @@ def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
     return TWO_PI * g
 
 
+def _entries(spec: CocycleSpec, xs: np.ndarray):
+    """The entry arrays (a, b, c, d) of A(x) = base . R(2 pi g(x)) over xs."""
+    ang = _angles(spec, xs)
+    cs, sn = np.cos(ang), np.sin(ang)
+    b = spec.base
+    return (b.a * cs + b.b * sn, -b.a * sn + b.b * cs,
+            b.c * cs + b.d * sn, -b.c * sn + b.d * cs)
+
+
 # -- scaled products ----------------------------------------------------------
 
 
@@ -230,39 +239,71 @@ def _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed):
     return na * inv, nb * inv, nc * inv, nd * inv, logs + math.log(fr / SQRT2)
 
 
+def _reduce(ea, eb, ec, ed):
+    """E[n-1] ... E[0] for n >= 1 matrices given by entry arrays, by pairwise halving.
+
+    Returns (a, b, c, d, log_scale), the product being exp(log_scale) times
+    [[a, b], [c, d]].  At each level the later (odd-indexed) matrix of a
+    pair is the left factor; each pair product is pulled to Frobenius norm
+    sqrt(2) and the log of that scale joins the sum of its halves' logs.
+    An odd leftover carries to the next level unchanged.
+    """
+    logs = np.zeros(len(ea))
+    while len(ea) > 1:
+        h = len(ea) & ~1
+        la, lb, lc, ld, ll = ea[1:h:2], eb[1:h:2], ec[1:h:2], ed[1:h:2], logs[1:h:2]
+        ra, rb, rc, rd, rl = ea[:h:2], eb[:h:2], ec[:h:2], ed[:h:2], logs[:h:2]
+        na = la * ra + lb * rc
+        nb = la * rb + lb * rd
+        nc = lc * ra + ld * rc
+        nd = lc * rb + ld * rd
+        fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
+        if not (fr.min() > 0.0 and fr.max() < math.inf):
+            raise NumericOverflowError("degenerate step in scaled product")
+        inv = SQRT2 / fr
+        level = [na * inv, nb * inv, nc * inv, nd * inv, ll + rl + np.log(fr / SQRT2)]
+        if h < len(ea):
+            level = [np.append(v, w[-1]) for v, w in zip(level, (ea, eb, ec, ed, logs))]
+        ea, eb, ec, ed, logs = level
+    return float(ea[0]), float(eb[0]), float(ec[0]), float(ed[0]), float(logs[0])
+
+
+def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:
+    """Scaled product of A over consecutive orbit blocks (first point first)."""
+    ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
+    for xs in blocks:
+        ea, eb, ec, ed, block_log = _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64)))
+        ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + block_log, ea, eb, ec, ed)
+    return ScaledMatrix(ma, mb, mc, md, logs)
+
+
 def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> ScaledMatrix:
     """A^n(x) = A(f^{n-1}x) ... A(x) as a ScaledMatrix, stable to n = 10^7.
 
     The base orbit is the true float orbit of x; for k a power of two this
-    is the exact orbit of the dyadic rational x denotes.  It is held as a
-    list of n floats and multiplied out by _product_along.
+    is the exact orbit of the dyadic rational x denotes.  It is generated
+    and multiplied out _BLOCK points at a time, so memory stays flat in n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"point {x} outside [0, 1)")
     k = float(m.k)
-    xs = []
-    for _ in range(n):
-        xs.append(x)
-        x = (k * x) % 1.0
-    return _product_along(spec, xs)
+
+    def blocks(x):
+        for lo in range(0, n, _BLOCK):
+            xs = []
+            for _ in range(min(_BLOCK, n - lo)):
+                xs.append(x)
+                x = (k * x) % 1.0
+            yield xs
+
+    return _product_of_blocks(spec, blocks(x))
 
 
 def _product_along(spec: CocycleSpec, xs) -> ScaledMatrix:
     """Scaled product of A over an explicit orbit segment (first entry first)."""
-    b = spec.base
-    ba, bb, bc, bd = b.a, b.b, b.c, b.d
-    ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
-    for lo in range(0, len(xs), _BLOCK):
-        ang = _angles(spec, np.asarray(xs[lo:lo + _BLOCK], dtype=np.float64))
-        for cs, sn in zip(np.cos(ang).tolist(), np.sin(ang).tolist()):
-            ea = ba * cs + bb * sn
-            eb = -ba * sn + bb * cs
-            ec = bc * cs + bd * sn
-            ed = -bc * sn + bd * cs
-            ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed)
-    return ScaledMatrix(ma, mb, mc, md, logs)
+    return _product_of_blocks(spec, (xs[lo:lo + _BLOCK] for lo in range(0, len(xs), _BLOCK)))
 
 
 # -- Lyapunov estimators ------------------------------------------------------
@@ -308,23 +349,21 @@ def _norm_growth_sample(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
     theta0 = rng.random() * math.pi
     vx, vy = math.cos(theta0), math.sin(theta0)
 
-    b = spec.base
-    ba, bb, bc, bd = b.a, b.b, b.c, b.d
-    log, sqrt = math.log, math.sqrt
+    # sum log |A(x_j) v_j| over the counted steps block by block: it telescopes,
+    # so log|M v| of each block product M = exp(log_scale) [[a, b], [c, d]] is
+    # the block's share; no block straddles the burn-in
     acc = 0.0
-    for lo in range(0, total, _BLOCK):
-        ang = _angles(spec, _orbit(k, digits[lo:], min(_BLOCK, total - lo)))
-        for j, (cs, sn) in enumerate(zip(np.cos(ang).tolist(), np.sin(ang).tolist()), lo):
-            rx = cs * vx - sn * vy
-            ry = sn * vx + cs * vy
-            wx = ba * rx + bb * ry
-            wy = bc * rx + bd * ry
-            nrm = sqrt(wx * wx + wy * wy)
-            if j >= burn_in:
-                acc += log(nrm)
-            inv = 1.0 / nrm
-            vx = wx * inv
-            vy = wy * inv
+    for start, stop, counted in ((0, burn_in, False), (burn_in, total, True)):
+        for lo in range(start, stop, _BLOCK):
+            xs = _orbit(k, digits[lo:], min(_BLOCK, stop - lo))
+            a, b, c, d, log_scale = _reduce(*_entries(spec, xs))
+            wx = a * vx + b * vy
+            wy = c * vx + d * vy
+            nrm = math.sqrt(wx * wx + wy * wy)
+            if counted:
+                acc += log_scale + math.log(nrm)
+            vx = wx / nrm
+            vy = wy / nrm
     return acc / n_steps
 
 
@@ -456,6 +495,8 @@ def u_bunching_check(spec: CocycleSpec, m: ExpandingMap, theta: float | None = N
         theta = spec.theta
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
     grid_norm = 0.0
     grid_cond = 0.0
     for j in range(grid_n):

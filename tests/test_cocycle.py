@@ -30,7 +30,17 @@ from cocyclelab import (
     spec_to_json,
     u_bunching_check,
 )
-from cocyclelab.cocycle import DEFAULT_SEED, _angles
+from cocyclelab.circle import _orbit, window_width
+from cocyclelab.cocycle import (
+    _BLOCK,
+    DEFAULT_SEED,
+    _angles,
+    _norm_growth_sample,
+    _product_along,
+    _product_step,
+    _reduce,
+)
+from cocyclelab.errors import NumericOverflowError
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,9 +125,15 @@ def test_twist_gap_matches_difference(x, delta):
         assert gap == pytest.approx(naive, abs=1e-11)
 
 
-def test_angles_match_scalar_twist_bitwise():
+def twisted_spec() -> CocycleSpec:
+    """The example with eight perturbation terms, so every twist term is exercised."""
     spec = perturb(example_spec(), 0.05, seed=(4, 2))
     assert len(spec.terms) == 8
+    return spec
+
+
+def test_angles_match_scalar_twist_bitwise():
+    spec = twisted_spec()
     xs = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
                          np.random.default_rng(11).random(2000)])
     expected = np.array([TWO_PI * spec.twist(float(x)) for x in xs])
@@ -206,7 +222,70 @@ def test_contracted_direction_of_diagonal_product():
     assert proj_distance(got.contracted_direction(), ProjPoint(math.pi / 2)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 255, 4095, 4096, 4097, 8193])
+def test_product_along_matches_sequential_fold(n):
+    """The pairwise block reduction against one _product_step per point."""
+    spec = twisted_spec()
+    xs = np.random.default_rng(n).random(n)
+    ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
+    for x in xs.tolist():
+        e = evaluate(spec, x)
+        ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs, e.a, e.b, e.c, e.d)
+    got = _product_along(spec, xs)
+    assert np.max(np.abs(np.subtract([got.a, got.b, got.c, got.d], [ma, mb, mc, md]))) <= 1e-12
+    assert got.log_scale == pytest.approx(logs, rel=1e-12)
+
+
+def test_reduce_rejects_degenerate_products():
+    zero = np.zeros(2)
+    with pytest.raises(NumericOverflowError, match="degenerate step"):
+        _reduce(zero, zero, zero, zero)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError,
+                                                      match="degenerate step"):
+        _reduce(np.array([1.0, math.inf]), zero, zero, np.ones(2))
+
+
+def test_cocycle_product_streams_the_float_orbit():
+    """Blockwise orbit generation gives the product of the whole-list orbit bitwise."""
+    spec, m, x, n = twisted_spec(), ExpandingMap(3), 0.3, 2 * _BLOCK + 5
+    xs = []
+    for _ in range(n):
+        xs.append(x)
+        x = (3.0 * x) % 1.0
+    assert cocycle_product(spec, m, 0.3, n) == _product_along(spec, xs)
+
+
 # -- norm-growth estimator ----------------------------------------------------
+
+def vector_recurrence_sample(spec, k, n_steps, burn_in, rng) -> float:
+    """One norm-growth sample stepped a vector at a time, the scalar oracle."""
+    total = burn_in + n_steps
+    digits = rng.integers(0, k, size=total + window_width(k))
+    theta0 = rng.random() * math.pi
+    vx, vy = math.cos(theta0), math.sin(theta0)
+    b = spec.base
+    acc = 0.0
+    ang = _angles(spec, _orbit(k, digits, total))
+    for j, (cs, sn) in enumerate(zip(np.cos(ang).tolist(), np.sin(ang).tolist())):
+        rx = cs * vx - sn * vy
+        ry = sn * vx + cs * vy
+        wx = b.a * rx + b.b * ry
+        wy = b.c * rx + b.d * ry
+        nrm = math.sqrt(wx * wx + wy * wy)
+        if j >= burn_in:
+            acc += math.log(nrm)
+        vx, vy = wx / nrm, wy / nrm
+    return acc / n_steps
+
+
+@pytest.mark.parametrize("k,n_steps,burn_in", [(8, 5000, 0), (3, 4097, 1), (2, 100, 4096),
+                                               (8, 9000, 5000)])
+def test_norm_growth_sample_matches_vector_recurrence(k, n_steps, burn_in):
+    spec = twisted_spec()
+    got = _norm_growth_sample(spec, k, n_steps, burn_in, rng_from(7, k))
+    want = vector_recurrence_sample(spec, k, n_steps, burn_in, rng_from(7, k))
+    assert got == pytest.approx(want, abs=1e-14)
+
 
 def test_norm_growth_constant_diagonal_is_log2():
     est = lyapunov_norm_growth(constant_spec(), example_map(), n_steps=2000,
@@ -369,6 +448,12 @@ def test_bunching_theta_tradeoff():
     assert not rep.bunched
     with pytest.raises(ValueError):
         u_bunching_check(example_spec(), ExpandingMap(8), theta=0.0)
+
+
+@pytest.mark.parametrize("grid_n", [0, 1])
+def test_bunching_rejects_coarse_grid(grid_n):
+    with pytest.raises(ValueError, match="grid_n"):
+        u_bunching_check(example_spec(), ExpandingMap(8), grid_n=grid_n)
 
 
 def test_bunching_identity_always():
