@@ -51,13 +51,19 @@ def apply_map(m: ExpandingMap, x: float) -> float:
     return (m.k * x) % 1.0
 
 
+def _preimage(k: int, y: float, digit: int) -> float:
+    """(y + digit) / k, which is below 1 exactly but can round up to 1.0."""
+    x = (y + digit) / k
+    return math.nextafter(1.0, 0.0) if x >= 1.0 else x
+
+
 def inverse_branch(m: ExpandingMap, y: float, digit: int) -> float:
     """The preimage of y in [digit/k, (digit+1)/k)."""
     if not 0.0 <= y < 1.0:
         raise ValueError(f"point {y} outside [0, 1)")
     if not 0 <= digit < m.k:
         raise ValueError(f"branch digit {digit} outside 0..{m.k - 1}")
-    return (y + digit) / m.k
+    return _preimage(m.k, y, digit)
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,7 @@ class BackwardItinerary:
         pts = [self.x0]
         x = self.x0
         for d in self.digits:
-            x = (x + d) / self.k
-            if x >= 1.0:  # (x + d)/k < 1 exactly, but can round up to 1.0
-                x = math.nextafter(1.0, 0.0)
+            x = _preimage(self.k, x, d)
             pts.append(x)
         return pts
 
@@ -139,10 +143,7 @@ def shift_backward(it: BackwardItinerary) -> BackwardItinerary:
     """Drop the anchor: the natural-extension preimage, one level shallower."""
     if it.depth < 1:
         raise ValueError("cannot shift backward past recorded depth")
-    x = (it.x0 + it.digits[0]) / it.k
-    if x >= 1.0:  # same rounding seam as BackwardItinerary.points
-        x = math.nextafter(1.0, 0.0)
-    return BackwardItinerary(it.k, x, it.digits[1:])
+    return BackwardItinerary(it.k, _preimage(it.k, it.x0, it.digits[0]), it.digits[1:])
 
 
 # -- forward orbits ----------------------------------------------------------

@@ -33,10 +33,12 @@ from .cocycle import (
     u_bunching_check,
 )
 from .errors import (
+    DegreeCheckError,
     HolonomyDivergedError,
     LeafMismatchError,
     NoHyperbolicityError,
     NumericOverflowError,
+    ResolutionError,
 )
 from .holonomy import holonomy_equivariance_residual, u_holonomy
 from .natext import aligned_anchor, build_realization, conjugacy_residual
@@ -535,7 +537,8 @@ def main(argv=None) -> int:
     started = utc_now()
     try:
         results, code, csv = RUNNERS[args.command](cfg, spec, map_)
-    except (NumericOverflowError, NoHyperbolicityError, HolonomyDivergedError) as e:
+    except (NumericOverflowError, NoHyperbolicityError, HolonomyDivergedError,
+            ResolutionError, DegreeCheckError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError, OverflowError) as e:

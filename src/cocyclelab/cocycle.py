@@ -22,7 +22,7 @@ import numpy as np
 
 from .circle import ExpandingMap, _orbit, orbit_from_digits, window_width
 from .errors import NoHyperbolicityError, NumericOverflowError
-from .sl2 import Mat2, ProjPoint, _svd_raw, op_norm
+from .sl2 import Mat2, ProjPoint, _mul, _s_max, _svd_raw, op_norm
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -166,7 +166,10 @@ def spec_from_json(data: dict) -> CocycleSpec:
 
 def evaluate(spec: CocycleSpec, x: float) -> Mat2:
     """The cocycle matrix at x."""
-    return spec.base @ Mat2.rotation(TWO_PI * spec.twist(x))
+    ang = TWO_PI * spec.twist(x)
+    cs, sn = math.cos(ang), math.sin(ang)
+    b = spec.base
+    return Mat2(*_mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs))
 
 
 def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
@@ -182,8 +185,7 @@ def _entries(spec: CocycleSpec, xs: np.ndarray):
     ang = _angles(spec, xs)
     cs, sn = np.cos(ang), np.sin(ang)
     b = spec.base
-    return (b.a * cs + b.b * sn, -b.a * sn + b.b * cs,
-            b.c * cs + b.d * sn, -b.c * sn + b.d * cs)
+    return _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs)
 
 
 # -- scaled products ----------------------------------------------------------
@@ -205,8 +207,7 @@ class ScaledMatrix:
 
     def op_norm_log(self) -> float:
         """log of the largest singular value of the true product."""
-        s_max, _, _, _ = _svd_raw(self.a, self.b, self.c, self.d)
-        return self.log_scale + math.log(s_max)
+        return self.log_scale + math.log(_s_max(self.a, self.b, self.c, self.d))
 
     def singular_gap(self) -> float:
         """s_max/s_min of the product; inf once s_min underflows."""
@@ -228,10 +229,7 @@ class ScaledMatrix:
 
 def _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed):
     # left-multiply by E = [[ea,eb],[ec,ed]], then pull Frobenius norm to sqrt(2)
-    na = ea * ma + eb * mc
-    nb = ea * mb + eb * md
-    nc = ec * ma + ed * mc
-    nd = ec * mb + ed * md
+    na, nb, nc, nd = _mul(ea, eb, ec, ed, ma, mb, mc, md)
     fr = math.sqrt(na * na + nb * nb + nc * nc + nd * nd)
     if not fr > 0.0 or not math.isfinite(fr):
         raise NumericOverflowError("degenerate step in scaled product")
@@ -251,17 +249,14 @@ def _reduce(ea, eb, ec, ed):
     logs = np.zeros(len(ea))
     while len(ea) > 1:
         h = len(ea) & ~1
-        la, lb, lc, ld, ll = ea[1:h:2], eb[1:h:2], ec[1:h:2], ed[1:h:2], logs[1:h:2]
-        ra, rb, rc, rd, rl = ea[:h:2], eb[:h:2], ec[:h:2], ed[:h:2], logs[:h:2]
-        na = la * ra + lb * rc
-        nb = la * rb + lb * rd
-        nc = lc * ra + ld * rc
-        nd = lc * rb + ld * rd
+        na, nb, nc, nd = _mul(ea[1:h:2], eb[1:h:2], ec[1:h:2], ed[1:h:2],
+                              ea[:h:2], eb[:h:2], ec[:h:2], ed[:h:2])
         fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
         if not (fr.min() > 0.0 and fr.max() < math.inf):
             raise NumericOverflowError("degenerate step in scaled product")
         inv = SQRT2 / fr
-        level = [na * inv, nb * inv, nc * inv, nd * inv, ll + rl + np.log(fr / SQRT2)]
+        level = [na * inv, nb * inv, nc * inv, nd * inv,
+                 logs[1:h:2] + logs[:h:2] + np.log(fr / SQRT2)]
         if h < len(ea):
             level = [np.append(v, w[-1]) for v, w in zip(level, (ea, eb, ec, ed, logs))]
         ea, eb, ec, ed, logs = level
@@ -466,8 +461,7 @@ def c0_distance(s1: CocycleSpec, s2: CocycleSpec, grid_n: int = 4096) -> C0Gap:
         x = j / grid_n
         a = evaluate(s1, x)
         b = evaluate(s2, x)
-        da, db, dc, dd = a.a - b.a, a.b - b.b, a.c - b.c, a.d - b.d
-        s_max, _, _, _ = _svd_raw(da, db, dc, dd)
+        s_max = _s_max(a.a - b.a, a.b - b.b, a.c - b.c, a.d - b.d)
         if s_max > best:
             best = s_max
     pad = (s1.lipschitz() + s2.lipschitz()) * 0.5 / grid_n

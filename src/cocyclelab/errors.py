@@ -35,10 +35,12 @@ class HolonomyDivergedError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """Adjacent samples of a projective loop jump too far to lift reliably.
+    """A grid too coarse to certify its result; refine it.
 
-    The winding count is only trustworthy when consecutive samples move by
-    less than pi/4 in the projective metric; re-sample on a finer grid.
+    A projective loop's winding count is only trustworthy when consecutive
+    samples move by less than pi/4 in the projective metric; a grid-scanned
+    separation certificate is only positive once the grid outruns its
+    Lipschitz correction.
     """
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .circle import BackwardItinerary, ExpandingMap, circle_distance, shift_forward
 from .cocycle import TWO_PI, CocycleSpec, _product_step, evaluate
 from .errors import HolonomyDivergedError, LeafMismatchError, NumericOverflowError
-from .sl2 import Mat2, _svd_raw
+from .sl2 import Mat2, _mul, _s_max
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
         return HolonomyResult(Mat2.identity(), 0, 0.0, True, ())
 
     b = spec.base
-    # adjugate of the base; base has det 1 so this is its inverse
-    ia, ib, ic, id_ = b.d, -b.b, -b.c, b.a
+    b_inv = b.inverse()
 
     xs = x_it.points()
 
@@ -111,33 +110,19 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
         beta = TWO_PI * spec.twist_gap(xm, delta)
         sn = math.sin(beta)
         cm1 = -2.0 * math.sin(0.5 * beta) ** 2
-        ra, rb, rc, rd = cm1, -sn, sn, cm1
-        ta = b.a * ra + b.b * rc
-        tb = b.a * rb + b.b * rd
-        tc = b.c * ra + b.d * rc
-        td = b.c * rb + b.d * rd
-        da = ta * ia + tb * ic
-        db = ta * ib + tb * id_
-        dc = tc * ia + td * ic
-        dd = tc * ib + td * id_
+        bracket = _mul(*_mul(b.a, b.b, b.c, b.d, cm1, -sn, sn, cm1),
+                       b_inv.a, b_inv.b, b_inv.c, b_inv.d)
 
         # P_{m-1}(y) . bracket . P_{m-1}(x)^{-1}; the inverse of a scaled
         # det-1 product is exp(s) * adj(M)
-        ua = ya * da + yb * dc
-        ub = ya * db + yb * dd
-        uc = yc * da + yd * dc
-        ud = yc * db + yd * dd
-        ca = ua * xd - ub * xc
-        cb = -ua * xb + ub * xa
-        cc = uc * xd - ud * xc
-        cd = -uc * xb + ud * xa
+        ca, cb, cc, cd = _mul(*_mul(ya, yb, yc, yd, *bracket), xd, -xb, -xc, xa)
         try:
             scale = math.exp(sx + sy)
         except OverflowError:
             raise NumericOverflowError("holonomy partial products overflowed") from None
         ca, cb, cc, cd = ca * scale, cb * scale, cc * scale, cd * scale
 
-        res = (math.hypot(ca + cd, cc - cb) + math.hypot(ca - cd, cc + cb)) * 0.5
+        res = _s_max(ca, cb, cc, cd)
         if not math.isfinite(res):
             raise NumericOverflowError("non-finite holonomy correction term")
         residuals.append(res)
@@ -211,5 +196,4 @@ def holonomy_equivariance_residual(spec: CocycleSpec, m: ExpandingMap,
     ay = evaluate(spec, y_it.x0)
     lhs = ay @ here.h
     rhs = ahead.h @ ax
-    s_max, _, _, _ = _svd_raw(lhs.a - rhs.a, lhs.b - rhs.b, lhs.c - rhs.c, lhs.d - rhs.d)
-    return s_max
+    return _s_max(lhs.a - rhs.a, lhs.b - rhs.b, lhs.c - rhs.c, lhs.d - rhs.d)

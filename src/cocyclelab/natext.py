@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circle import BackwardItinerary, ExpandingMap, apply_map, shift_backward, truncate_itinerary
-from .errors import DepthError
+from .errors import DepthError, ResolutionError
 
 
 def _plateau(t: np.ndarray) -> np.ndarray:
@@ -113,7 +113,10 @@ def build_realization(m: ExpandingMap, grid_n: int = 4096) -> NatExtRealization:
 
     real = NatExtRealization(m, n, centers, r_in, r_out, delta=1.0, lam=0.0)
     delta = separation_certificate(real, grid_n)
-    assert delta > 0.0, "bump layout failed to separate inverse branches"
+    if not delta > 0.0:
+        raise ResolutionError(
+            f"separation certificate {delta:.3g} not positive at grid {grid_n}; refine the grid"
+        )
     lam = 0.9 * delta / (4.0 * n)
     return NatExtRealization(m, n, centers, r_in, r_out, delta, lam)
 

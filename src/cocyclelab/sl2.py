@@ -85,19 +85,24 @@ class Mat2:
         return mat_product(self, other)
 
 
+def _mul(a1, b1, c1, d1, a2, b2, c2, d2):
+    """Entries of [[a1, b1], [c1, d1]] @ [[a2, b2], [c2, d2]]; floats or numpy arrays."""
+    return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
+
+
+def _s_max(a: float, b: float, c: float, d: float) -> float:
+    """Largest singular value: hypot((a+d)/2,(c-b)/2) + hypot((a-d)/2,(c+b)/2)."""
+    return (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) * 0.5
+
+
 def mat_product(m1: Mat2, m2: Mat2) -> Mat2:
     """m1 @ m2.  Raises NumericOverflowError if entries leave float range."""
-    return Mat2(
-        m1.a * m2.a + m1.b * m2.c,
-        m1.a * m2.b + m1.b * m2.d,
-        m1.c * m2.a + m1.d * m2.c,
-        m1.c * m2.b + m1.d * m2.d,
-    )
+    return Mat2(*_mul(m1.a, m1.b, m1.c, m1.d, m2.a, m2.b, m2.c, m2.d))
 
 
 def op_norm(m: Mat2) -> float:
-    """Largest singular value: hypot((a+d)/2,(c-b)/2) + hypot((a-d)/2,(c+b)/2)."""
-    return (math.hypot(m.a + m.d, m.c - m.b) + math.hypot(m.a - m.d, m.c + m.b)) * 0.5
+    """Largest singular value."""
+    return _s_max(m.a, m.b, m.c, m.d)
 
 
 @dataclass(frozen=True)

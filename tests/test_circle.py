@@ -76,6 +76,7 @@ def test_branch_arithmetic_clamped_below_one():
     it = BackwardItinerary(5, top, (4, 4, 4))
     assert all(p < 1.0 for p in it.points())
     assert shift_backward(it).x0 < 1.0
+    assert inverse_branch(ExpandingMap(3), top, 2) == math.nextafter(1.0, 0.0)
 
 
 def test_inverse_branch_validation():

@@ -2,17 +2,27 @@
 
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from cocyclelab import HolonomyDivergedError, NoHyperbolicityError, NumericOverflowError
+from cocyclelab import (
+    DegreeCheckError,
+    HolonomyDivergedError,
+    NoHyperbolicityError,
+    NumericOverflowError,
+    ResolutionError,
+)
 from cocyclelab.cli import COMMON_DEFAULTS, DEFAULTS, RUNNERS, main
 from cocyclelab.reports import canonical_payload, load_schema
 
 SCHEMA = load_schema()
-BASELINES = pathlib.Path(__file__).resolve().parent.parent / "baselines"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BASELINES = ROOT / "baselines"
 
 # small but non-trivial settings, one per command
 FAST_ARGS = {
@@ -165,6 +175,8 @@ def test_natext_k_beyond_anchor_lattice(tmp_path, capsys):
     NumericOverflowError("boom"),
     NoHyperbolicityError(1.0, 2.0),
     HolonomyDivergedError("no limit"),
+    ResolutionError("too coarse"),
+    DegreeCheckError("disagree"),
 ])
 def test_numeric_failures_exit_2(monkeypatch, capsys, exc):
     def blow_up(cfg, spec, map_):
@@ -173,6 +185,31 @@ def test_numeric_failures_exit_2(monkeypatch, capsys, exc):
     monkeypatch.setitem(RUNNERS, "bunching", blow_up)
     assert main(["bunching", "--grid", "512"]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_unresolvable_twist_degree_exits_2(tmp_path, capsys):
+    """A twist far too fast for the finest grid fails every refinement,
+    from the default grid up to 65536 points."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"base": [[2.0, 0.0], [0.0, 0.5]], "winding": 1,
+                                     "twist": [{"freq": 3000, "amp": 40.0}]}))
+    code, report = run_cli(["degree", "--spec", str(spec_file)], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert err.startswith("numeric failure: ") and "of 65536; refine the grid" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_natext_coarse_grid_exits_2(flags, tmp_path):
+    """The separation certificate is checked by a raise, which -O keeps."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *flags, "-m", "cocyclelab", "natext", "--grid", "64",
+                           "--out", str(tmp_path / "report.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numeric failure: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
 
 
 # -- exit code 3: analysis-level failure -------------------------------------------

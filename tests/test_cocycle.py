@@ -35,6 +35,7 @@ from cocyclelab.cocycle import (
     _BLOCK,
     DEFAULT_SEED,
     _angles,
+    _entries,
     _norm_growth_sample,
     _product_along,
     _product_step,
@@ -138,6 +139,27 @@ def test_angles_match_scalar_twist_bitwise():
                          np.random.default_rng(11).random(2000)])
     expected = np.array([TWO_PI * spec.twist(float(x)) for x in xs])
     assert np.array_equal(_angles(spec, xs), expected)
+
+
+@pytest.mark.parametrize("spec", [example_spec(), twisted_spec()], ids=["example", "perturbed"])
+def test_evaluate_matches_rotation_product_bitwise(spec):
+    """evaluate builds A(x) straight from its entries; the oracle forms
+    base . R(2 pi g(x)) through a rotation Mat2 and mat_product."""
+    xs = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
+                         np.random.default_rng(12).random(500)])
+    for x in map(float, xs):
+        want = spec.base @ Mat2.rotation(TWO_PI * spec.twist(x))
+        assert evaluate(spec, x) == want
+
+
+@pytest.mark.parametrize("spec", [example_spec(), twisted_spec()], ids=["example", "perturbed"])
+def test_entries_match_evaluate_bitwise(spec):
+    xs = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
+                         np.random.default_rng(13).random(500)])
+    ea, eb, ec, ed = _entries(spec, xs)
+    for j, x in enumerate(map(float, xs)):
+        m = evaluate(spec, x)
+        assert (ea[j], eb[j], ec[j], ed[j]) == (m.a, m.b, m.c, m.d)
 
 
 def test_twist_lipschitz_bounds_numeric_slope():

@@ -20,6 +20,7 @@ from cocyclelab import (
     projective_derivative,
     svd2,
 )
+from cocyclelab.sl2 import _s_max, _svd_raw
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -111,6 +112,15 @@ def test_op_norm_against_numpy():
         m = random_sl2(rng, spread=20.0)
         assert op_norm(m) == pytest.approx(float(np.linalg.norm(as_array(m), 2)),
                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+def test_s_max_matches_svd_raw_bitwise(scale):
+    """op_norm's closed form halves after the hypots, _svd_raw before them;
+    halving is exact, so both give the same float."""
+    rng = np.random.default_rng(int(math.log10(scale)) + 200)
+    for a, b, c, d in (rng.normal(size=(10000, 4)) * scale).tolist():
+        assert _s_max(a, b, c, d) == _svd_raw(a, b, c, d)[0]
 
 
 def test_svd2_reconstruction_and_values():
