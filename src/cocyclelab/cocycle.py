@@ -31,6 +31,8 @@ DEFAULT_SEED = 31415926
 
 # orbit points per array pass in the product loops; bounds their scratch memory
 _BLOCK = 4096
+# norm-growth samples reduced together, one row each; memory grows with it
+_ROWS = 4
 
 
 def rng_from(*keys) -> np.random.Generator:
@@ -39,6 +41,8 @@ def rng_from(*keys) -> np.random.Generator:
     Nested tuples flatten, so rng_from((seed, trial), 3) and
     rng_from(seed, trial, 3) agree.  Distinct paths give independent
     streams; this is the only seeding convention used in the package.
+    A component is never truncated: a bool, a string or a non-integral
+    float raises ValueError.
     """
     flat: list[int] = []
     stack = list(keys)
@@ -47,7 +51,7 @@ def rng_from(*keys) -> np.random.Generator:
         if isinstance(k, (tuple, list)):
             stack = list(k) + stack
         else:
-            v = int(k)
+            v = _integral("seed component", k)
             if v < 0:
                 raise ValueError("seed components must be non-negative")
             flat.append(v)
@@ -139,8 +143,8 @@ def spec_to_json(spec: CocycleSpec) -> dict:
 
 def _integral(name: str, v) -> int:
     """v as an int if it is an integral number; never truncates."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -238,36 +242,41 @@ def _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed):
 
 
 def _reduce(ea, eb, ec, ed):
-    """E[n-1] ... E[0] for n >= 1 matrices given by entry arrays, by pairwise halving.
+    """E[..., n-1] ... E[..., 0] for n >= 1 along the last axis, by pairwise halving.
 
-    Returns (a, b, c, d, log_scale), the product being exp(log_scale) times
-    [[a, b], [c, d]].  At each level the later (odd-indexed) matrix of a
-    pair is the left factor; each pair product is pulled to Frobenius norm
-    sqrt(2) and the log of that scale joins the sum of its halves' logs.
-    An odd leftover carries to the next level unchanged.
+    Returns (a, b, c, d, log_scale) as arrays over the leading axes, each
+    product being exp(log_scale) times [[a, b], [c, d]].  At each level the
+    later (odd-indexed) matrix of a pair is the left factor; each pair
+    product is pulled to Frobenius norm sqrt(2) and the log of that scale
+    joins the sum of its halves' logs.  An odd leftover carries to the next
+    level unchanged.  Every row is reduced by the same tree, so a row gives
+    the same bits as a 1-D call on it.
     """
-    logs = np.zeros(len(ea))
-    while len(ea) > 1:
-        h = len(ea) & ~1
-        na, nb, nc, nd = _mul(ea[1:h:2], eb[1:h:2], ec[1:h:2], ed[1:h:2],
-                              ea[:h:2], eb[:h:2], ec[:h:2], ed[:h:2])
+    logs = np.zeros(ea.shape)
+    while ea.shape[-1] > 1:
+        n = ea.shape[-1]
+        h = n & ~1
+        na, nb, nc, nd = _mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
+                              ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2])
         fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
         if not (fr.min() > 0.0 and fr.max() < math.inf):
             raise NumericOverflowError("degenerate step in scaled product")
         inv = SQRT2 / fr
         level = [na * inv, nb * inv, nc * inv, nd * inv,
-                 logs[1:h:2] + logs[:h:2] + np.log(fr / SQRT2)]
-        if h < len(ea):
-            level = [np.append(v, w[-1]) for v, w in zip(level, (ea, eb, ec, ed, logs))]
+                 logs[..., 1:h:2] + logs[..., :h:2] + np.log(fr / SQRT2)]
+        if h < n:
+            level = [np.concatenate((v, w[..., -1:]), axis=-1)
+                     for v, w in zip(level, (ea, eb, ec, ed, logs))]
         ea, eb, ec, ed, logs = level
-    return float(ea[0]), float(eb[0]), float(ec[0]), float(ed[0]), float(logs[0])
+    return ea[..., 0], eb[..., 0], ec[..., 0], ed[..., 0], logs[..., 0]
 
 
 def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:
     """Scaled product of A over consecutive orbit blocks (first point first)."""
     ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
     for xs in blocks:
-        ea, eb, ec, ed, block_log = _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64)))
+        block = _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64)))
+        ea, eb, ec, ed, block_log = map(float, block)
         ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + block_log, ea, eb, ec, ed)
     return ScaledMatrix(ma, mb, mc, md, logs)
 
@@ -336,30 +345,40 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _norm_growth_sample(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
-                        rng: np.random.Generator) -> float:
+def _norm_growth_group(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
+                       rngs: list[np.random.Generator]) -> list[float]:
+    """One norm-growth value per generator, the samples advanced in lockstep.
+
+    Each generator draws its digit stream and then its starting angle; the
+    digits are kept in the smallest unsigned dtype that holds k - 1.
+    """
     w = window_width(k)
     total = burn_in + n_steps
-    digits = rng.integers(0, k, size=total + w)
-    theta0 = rng.random() * math.pi
-    vx, vy = math.cos(theta0), math.sin(theta0)
+    digit_dtype = np.min_scalar_type(k - 1)
+    digits, vs = [], []
+    for rng in rngs:
+        digits.append(rng.integers(0, k, size=total + w).astype(digit_dtype))
+        theta0 = rng.random() * math.pi
+        vs.append((math.cos(theta0), math.sin(theta0)))
 
     # sum log |A(x_j) v_j| over the counted steps block by block: it telescopes,
     # so log|M v| of each block product M = exp(log_scale) [[a, b], [c, d]] is
-    # the block's share; no block straddles the burn-in
-    acc = 0.0
+    # the block's share; no block straddles the burn-in.  One _reduce call
+    # takes the block of every sample, one row each.
+    acc = [0.0] * len(rngs)
     for start, stop, counted in ((0, burn_in, False), (burn_in, total, True)):
         for lo in range(start, stop, _BLOCK):
-            xs = _orbit(k, digits[lo:], min(_BLOCK, stop - lo))
-            a, b, c, d, log_scale = _reduce(*_entries(spec, xs))
-            wx = a * vx + b * vy
-            wy = c * vx + d * vy
-            nrm = math.sqrt(wx * wx + wy * wy)
-            if counted:
-                acc += log_scale + math.log(nrm)
-            vx = wx / nrm
-            vy = wy / nrm
-    return acc / n_steps
+            xs = np.stack([_orbit(k, ds[lo:], min(_BLOCK, stop - lo)) for ds in digits])
+            rows = zip(*(v.tolist() for v in _reduce(*_entries(spec, xs))))
+            for i, (a, b, c, d, log_scale) in enumerate(rows):
+                vx, vy = vs[i]
+                wx = a * vx + b * vy
+                wy = c * vx + d * vy
+                nrm = math.sqrt(wx * wx + wy * wy)
+                if counted:
+                    acc[i] += log_scale + math.log(nrm)
+                vs[i] = (wx / nrm, wy / nrm)
+    return [s / n_steps for s in acc]
 
 
 def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
@@ -379,8 +398,10 @@ def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
 
-    values = [_norm_growth_sample(spec, m.k, n_steps, burn_in, rng_from(seed, i))
-              for i in range(n_samples)]
+    values = []
+    for lo in range(0, n_samples, _ROWS):
+        rngs = [rng_from(seed, i) for i in range(lo, min(lo + _ROWS, n_samples))]
+        values += _norm_growth_group(spec, m.k, n_steps, burn_in, rngs)
     mean, se = _mean_stderr(values)
     return LyapunovEstimate(mean, se, n_steps, n_samples, seed, "norm_growth")
 

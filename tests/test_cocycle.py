@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,10 +34,12 @@ from cocyclelab import (
 from cocyclelab.circle import _orbit, window_width
 from cocyclelab.cocycle import (
     _BLOCK,
+    _ROWS,
     DEFAULT_SEED,
     _angles,
     _entries,
-    _norm_growth_sample,
+    _mean_stderr,
+    _norm_growth_group,
     _product_along,
     _product_step,
     _reduce,
@@ -79,6 +82,12 @@ def test_rng_rejects_bad_paths():
         rng_from()
     with pytest.raises(ValueError):
         rng_from(())
+    # a component is never truncated or parsed: each of these once became an int
+    for bad in (1.5, True, np.True_, "7", (7, 2.5)):
+        with pytest.raises(ValueError):
+            rng_from(bad)
+    want = rng_from(7, 3).integers(0, 2**32, size=4)
+    assert np.array_equal(rng_from(np.int64(7), np.uint8(3)).integers(0, 2**32, size=4), want)
 
 
 # -- spec arithmetic ----------------------------------------------------------
@@ -267,6 +276,24 @@ def test_reduce_rejects_degenerate_products():
         _reduce(np.array([1.0, math.inf]), zero, zero, np.ones(2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 4096, 4097])
+def test_reduce_rows_match_one_dimensional_calls(n):
+    """Reducing along the last axis gives each row the bits of its own 1-D call."""
+    spec = twisted_spec()
+    entries = _entries(spec, np.random.default_rng(n).random((3, n)))
+    got = _reduce(*entries)
+    for r in range(3):
+        want = _reduce(*(e[r] for e in entries))
+        assert [float(v[r]) for v in got] == [float(v) for v in want]
+
+
+def test_reduce_rejects_one_degenerate_row():
+    ea, eb, ec, ed = (np.ones((3, 5)), np.zeros((3, 5)), np.zeros((3, 5)), np.ones((3, 5)))
+    ea[1], ed[1] = 0.0, 0.0
+    with pytest.raises(NumericOverflowError, match="degenerate step"):
+        _reduce(ea, eb, ec, ed)
+
+
 def test_cocycle_product_streams_the_float_orbit():
     """Blockwise orbit generation gives the product of the whole-list orbit bitwise."""
     spec, m, x, n = twisted_spec(), ExpandingMap(3), 0.3, 2 * _BLOCK + 5
@@ -304,9 +331,34 @@ def vector_recurrence_sample(spec, k, n_steps, burn_in, rng) -> float:
                                                (8, 9000, 5000)])
 def test_norm_growth_sample_matches_vector_recurrence(k, n_steps, burn_in):
     spec = twisted_spec()
-    got = _norm_growth_sample(spec, k, n_steps, burn_in, rng_from(7, k))
-    want = vector_recurrence_sample(spec, k, n_steps, burn_in, rng_from(7, k))
+    got = _norm_growth_group(spec, k, n_steps, burn_in, [rng_from(7, k, i) for i in range(3)])
+    want = [vector_recurrence_sample(spec, k, n_steps, burn_in, rng_from(7, k, i))
+            for i in range(3)]
     assert got == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_samples", sorted({1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1}))
+def test_norm_growth_groups_keep_each_sample_seed(n_samples):
+    """Sample i runs on rng_from(seed, i) wherever the group boundaries fall."""
+    spec, seed = twisted_spec(), (DEFAULT_SEED, 5)
+    est = lyapunov_norm_growth(spec, ExpandingMap(3), n_steps=700, n_samples=n_samples,
+                               seed=seed, burn_in=70)
+    mean, se = _mean_stderr([vector_recurrence_sample(spec, 3, 700, 70, rng_from(seed, i))
+                             for i in range(n_samples)])
+    assert est.value == pytest.approx(mean, abs=1e-14)
+    assert est.std_error == pytest.approx(se, abs=1e-14)
+
+
+def test_norm_growth_memory_stays_small():
+    """Traced peak of norm growth at the lyap defaults; grouping more samples
+    per reduction (and so more scratch rows) would break the bound."""
+    tracemalloc.start()
+    try:
+        lyapunov_norm_growth(example_spec(), example_map(8), n_steps=100_000, n_samples=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_norm_growth_constant_diagonal_is_log2():
