@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_ENUMERATION = 10_000_000
 
@@ -168,11 +167,14 @@ def window_width(k: int) -> int:
 
 
 def _orbit(k: int, digits, n: int) -> np.ndarray:
-    """x_0 .. x_{n-1} from a digit stream; each window read exactly in int64."""
+    """x_0 .. x_{n-1} from a digit stream; each window read by Horner's rule in int64."""
     w = window_width(k)
     d = np.asarray(digits[:n + w], dtype=np.int64)
-    powers = k ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    return (sliding_window_view(d, w)[:n] @ powers) / float(k**w)
+    v = d[:n].copy()
+    for i in range(1, w):
+        v *= k
+        v += d[i:i + n]
+    return v / float(k**w)
 
 
 def orbit_from_digits(k: int, digits, n: int) -> np.ndarray:

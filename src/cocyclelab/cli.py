@@ -70,19 +70,44 @@ class ConfigError(Exception):
     pass
 
 
+# command -> (command help, {setting: (default, flag help)}); each setting
+# gets the flag --<setting with dashes>, in this order
+COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
+    "lyap": ("Lyapunov exponent, two independent estimators", {
+        "steps": (100_000, "orbit steps per norm-growth sample"),
+        "samples": (32, "independent samples per estimator"),
+        "direction_steps": (256, "product length fixing the stable direction"),
+        "burn_in": (None, "alignment steps before averaging begins"),
+        "method": ("both", None)}),
+    "robustness": ("exponent under many C0-small perturbations", {
+        "epsilon": (0.05, "perturbation size"), "trials": (200, "number of perturbations"),
+        "steps": (10_000, None), "samples": (8, None), "burn_in": (None, None),
+        "c0_grid": (2048, "grid certifying each C0 distance")}),
+    "continuity": ("exponent along a C0-converging sequence", {
+        "steps": (30_000, None), "samples": (16, None), "burn_in": (None, None),
+        "j_values": ([10, 30, 100, 300],
+                     "comma separated twist denominators, e.g. 10,30,100,300"),
+        "c0_grid": (2048, "grid certifying each C0 distance")}),
+    "scan-periodic": ("hyperbolicity of periodic orbit products", {
+        "max_period": (5, None), "tol": (1e-9, "margin in |trace| > 2 + tol")}),
+    "holonomy": ("u-holonomies over random unstable pairs", {
+        "pairs": (20, "number of random pairs"), "tol": (1e-8, "Cauchy stopping tolerance"),
+        "max_depth": (60, None)}),
+    "bunching": ("certified fiber-bunching inequality", {
+        "grid": (4096, None), "theta": (None, "Holder exponent (default: from the spec)")}),
+    "degree": ("twist degree and the section obstruction", {"grid": (4096, None)}),
+    "section": ("search for an invariant projective section", {
+        "grid": (4096, None), "iterations": (40, None), "direction_steps": (256, None),
+        "restarts": (4, "independent jittered searches")}),
+    "natext": ("smooth natural-extension realization checks", {
+        "grid": (4096, "grid certifying the separation constant"),
+        "samples": (200, "random itineraries for the conjugacy check"),
+        "depth": (20, "itinerary depth for the conjugacy check")}),
+}
+
 DEFAULTS: dict[str, dict] = {
-    "lyap": {"steps": 100_000, "samples": 32, "direction_steps": 256,
-             "method": "both", "burn_in": None},
-    "robustness": {"epsilon": 0.05, "trials": 200, "steps": 10_000,
-                   "samples": 8, "burn_in": None, "c0_grid": 2048},
-    "continuity": {"steps": 30_000, "samples": 16, "j_values": [10, 30, 100, 300],
-                   "burn_in": None, "c0_grid": 2048},
-    "scan-periodic": {"max_period": 5, "tol": 1e-9},
-    "holonomy": {"pairs": 20, "tol": 1e-8, "max_depth": 60},
-    "bunching": {"grid": 4096, "theta": None},
-    "degree": {"grid": 4096},
-    "section": {"grid": 4096, "iterations": 40, "direction_steps": 256, "restarts": 4},
-    "natext": {"grid": 4096, "samples": 200, "depth": 20},
+    cmd: {key: default for key, (default, _) in settings.items()}
+    for cmd, (_, settings) in COMMANDS.items()
 }
 
 COMMON_DEFAULTS = {"k": 8, "seed": DEFAULT_SEED}
@@ -100,8 +125,8 @@ def build_parser() -> _Parser:
     p = _Parser(prog="cocyclelab", description=__doc__)
     p.add_argument("--version", action="version", version=f"cocyclelab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for cmd, (cmd_help, settings) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=cmd_help)
         sp.add_argument("--config", help="JSON file of settings; flags override it")
         sp.add_argument("--spec", help="JSON file describing the cocycle "
                         "(default: diag(2, 1/2) with a full twist)")
@@ -111,66 +136,12 @@ def build_parser() -> _Parser:
                         help="accepted and ignored; sampling is single-threaded")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--csv", help="also write the tabular results as CSV")
-
-    sp = sub.add_parser("lyap", help="Lyapunov exponent, two independent estimators")
-    common(sp)
-    sp.add_argument("--steps", type=int, help="orbit steps per norm-growth sample")
-    sp.add_argument("--samples", type=int, help="independent samples per estimator")
-    sp.add_argument("--direction-steps", dest="direction_steps", type=int,
-                    help="product length fixing the stable direction")
-    sp.add_argument("--burn-in", dest="burn_in", type=int,
-                    help="alignment steps before averaging begins")
-    sp.add_argument("--method", choices=METHODS)
-
-    sp = sub.add_parser("robustness", help="exponent under many C0-small perturbations")
-    common(sp)
-    sp.add_argument("--epsilon", type=float, help="perturbation size")
-    sp.add_argument("--trials", type=int, help="number of perturbations")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--burn-in", dest="burn_in", type=int)
-
-    sp = sub.add_parser("continuity", help="exponent along a C0-converging sequence")
-    common(sp)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--burn-in", dest="burn_in", type=int)
-    sp.add_argument("--j-values", dest="j_values",
-                    help="comma separated twist denominators, e.g. 10,30,100,300")
-
-    sp = sub.add_parser("scan-periodic", help="hyperbolicity of periodic orbit products")
-    common(sp)
-    sp.add_argument("--max-period", dest="max_period", type=int)
-    sp.add_argument("--tol", type=float, help="margin in |trace| > 2 + tol")
-
-    sp = sub.add_parser("holonomy", help="u-holonomies over random unstable pairs")
-    common(sp)
-    sp.add_argument("--pairs", type=int, help="number of random pairs")
-    sp.add_argument("--tol", type=float, help="Cauchy stopping tolerance")
-    sp.add_argument("--max-depth", dest="max_depth", type=int)
-
-    sp = sub.add_parser("bunching", help="certified fiber-bunching inequality")
-    common(sp)
-    sp.add_argument("--grid", type=int)
-    sp.add_argument("--theta", type=float, help="Holder exponent (default: from the spec)")
-
-    sp = sub.add_parser("degree", help="twist degree and the section obstruction")
-    common(sp)
-    sp.add_argument("--grid", type=int)
-
-    sp = sub.add_parser("section", help="search for an invariant projective section")
-    common(sp)
-    sp.add_argument("--grid", type=int)
-    sp.add_argument("--iterations", type=int)
-    sp.add_argument("--direction-steps", dest="direction_steps", type=int)
-    sp.add_argument("--restarts", type=int, help="independent jittered searches")
-
-    sp = sub.add_parser("natext", help="smooth natural-extension realization checks")
-    common(sp)
-    sp.add_argument("--grid", type=int, help="grid certifying the separation constant")
-    sp.add_argument("--samples", type=int, help="random itineraries for the conjugacy check")
-    sp.add_argument("--depth", type=int, help="itinerary depth for the conjugacy check")
-
+        for key, (default, flag_help) in settings.items():
+            # a list setting arrives as one comma separated string
+            want = NULLABLE_TYPES.get(key) or (str if isinstance(default, list)
+                                               else type(default))
+            sp.add_argument("--" + key.replace("_", "-"), type=want, help=flag_help,
+                            choices=METHODS if key == "method" else None)
     return p
 
 
@@ -253,12 +224,18 @@ def _validate(cfg: dict, defaults: dict) -> None:
             raise ConfigError(f"{key} must be of type {want.__name__}, got {val!r}")
         if key in COUNT_KEYS and val < 1:
             raise ConfigError(f"{key} must be >= 1, got {val}")
-        if key in ("burn_in", "tol") and not val >= 0:
+        if key in ("burn_in", "tol", "seed") and not val >= 0:
             raise ConfigError(f"{key} must be >= 0, got {val}")
         if key == "method" and val not in METHODS:
             raise ConfigError(f"method must be one of {list(METHODS)}, got {val!r}")
         if key == "j_values" and not (val and all(type(j) is int and j >= 1 for j in val)):
             raise ConfigError(f"j_values must be a non-empty list of positive integers, got {val}")
+
+
+def _csv(records: list[dict], columns: list[str]) -> tuple[list[str], list[list]]:
+    """CSV header and rows: the named fields of each record, bools as 0/1."""
+    return columns, [[int(r[c]) if isinstance(r[c], bool) else r[c] for c in columns]
+                     for r in records]
 
 
 def cmd_lyap(cfg, spec, map_):
@@ -282,9 +259,8 @@ def cmd_lyap(cfg, spec, map_):
         results["cross_check"] = {"delta": delta, "tolerance": tol, "pass": ok}
         if not ok:
             code = EXIT_CROSS_CHECK
-    rows = [[m, e["value"], e["std_error"], e["n_steps"], e["n_samples"]]
-            for m, e in sorted(estimates.items())]
-    csv = (["method", "value", "std_error", "n_steps", "n_samples"], rows)
+    csv = _csv([estimates[m] for m in sorted(estimates)],
+               ["method", "value", "std_error", "n_steps", "n_samples"])
     return results, code, csv
 
 
@@ -315,9 +291,7 @@ def cmd_robustness(cfg, spec, map_):
             "pass": n_below == 0,
         },
     }
-    rows = [[t["trial"], t["c0_grid"], t["c0_certified"], t["value"], t["std_error"]]
-            for t in trials]
-    csv = (["trial", "c0_grid", "c0_certified", "value", "std_error"], rows)
+    csv = _csv(trials, ["trial", "c0_grid", "c0_certified", "value", "std_error"])
     return results, EXIT_OK if n_below == 0 else EXIT_CROSS_CHECK, csv
 
 
@@ -362,8 +336,7 @@ def cmd_continuity(cfg, spec, map_):
     ok = sp > 0.0
     results = {"baseline": base.to_dict(), "rows": rows,
                "trend": {"spearman": sp, "pass": ok}}
-    csv = (["j", "c0_certified", "value", "std_error", "delta"],
-           [[r["j"], r["c0_certified"], r["value"], r["std_error"], r["delta"]] for r in rows])
+    csv = _csv(rows, ["j", "c0_certified", "value", "std_error", "delta"])
     return results, EXIT_OK if ok else EXIT_CROSS_CHECK, csv
 
 
@@ -392,8 +365,7 @@ def cmd_scan_periodic(cfg, spec, map_):
         "orbits": table[:500],
         "orbits_truncated": len(table) > 500,
     }
-    csv = (["period", "representative", "trace", "hyperbolic"],
-           [[e["period"], e["representative"], e["trace"], int(e["hyperbolic"])] for e in table])
+    csv = _csv(table, ["period", "representative", "trace", "hyperbolic"])
     return results, EXIT_OK, csv
 
 
@@ -434,10 +406,8 @@ def cmd_holonomy(cfg, spec, map_):
                     "max_cauchy_residual": max_resid,
                     "max_equivariance_residual": max_equiv},
     }
-    rows = [[p["pair"], p["x0"], p["y0"], int(p["converged"]), p["depth_used"],
-             p["cauchy_residual"], p["equivariance_residual"]] for p in pairs]
-    csv = (["pair", "x0", "y0", "converged", "depth_used", "cauchy_residual",
-            "equivariance_residual"], rows)
+    csv = _csv(pairs, ["pair", "x0", "y0", "converged", "depth_used", "cauchy_residual",
+                       "equivariance_residual"])
     return results, EXIT_OK, csv
 
 
@@ -446,8 +416,7 @@ def cmd_bunching(cfg, spec, map_):
     results = {"k": map_.k, "sigma": map_.sigma, "theta": rep.theta,
                "bunched": rep.bunched, "margin": rep.margin,
                "sup_certified": rep.sup_certified, "sup_grid": rep.sup_grid}
-    csv = (["k", "theta", "bunched", "margin", "sup_certified", "sup_grid"],
-           [[map_.k, rep.theta, int(rep.bunched), rep.margin, rep.sup_certified, rep.sup_grid]])
+    csv = _csv([results], ["k", "theta", "bunched", "margin", "sup_certified", "sup_grid"])
     return results, EXIT_OK, csv
 
 
@@ -479,8 +448,7 @@ def cmd_section(cfg, spec, map_):
         "max_residual": max(residuals),
         "obstruction": degree_obstruction(map_.k, d).to_dict(),
     }
-    csv = (["restart", "jittered", "residual"],
-           [[r["restart"], int(r["jittered"]), r["residual"]] for r in runs])
+    csv = _csv(runs, ["restart", "jittered", "residual"])
     return results, EXIT_OK, csv
 
 

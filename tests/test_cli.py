@@ -17,7 +17,15 @@ from cocyclelab import (
     NumericOverflowError,
     ResolutionError,
 )
-from cocyclelab.cli import COMMON_DEFAULTS, DEFAULTS, RUNNERS, main
+from cocyclelab.cli import (
+    COMMON_DEFAULTS,
+    DEFAULTS,
+    NULLABLE_TYPES,
+    RUNNERS,
+    build_parser,
+    main,
+    resolve_config,
+)
 from cocyclelab.reports import canonical_payload, load_schema
 
 SCHEMA = load_schema()
@@ -60,13 +68,38 @@ def test_command_runs_and_validates(command, tmp_path):
     assert report["config"]["spec"]["winding"] == 1
 
 
-def test_version_and_help():
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_version_and_help(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
     with pytest.raises(SystemExit) as exc:
-        main(["lyap", "--help"])
+        main([command, "--help"])
     assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"--{key.replace('_', '-')} " in out for key in DEFAULTS[command])
+
+
+def _other_value(key, default):
+    """A valid value of a setting other than its default: flag text, resolved value."""
+    if key == "method":
+        return "furstenberg", "furstenberg"
+    if isinstance(default, list):
+        return "5,7", [5, 7]
+    value = NULLABLE_TYPES[key](3) if default is None else default * 2
+    return str(value), value
+
+
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_every_setting_has_a_flag(command):
+    """Each setting a config file can set is also set by --<setting with dashes>."""
+    parser = build_parser()
+    for key, default in DEFAULTS[command].items():
+        text, value = _other_value(key, default)
+        args = parser.parse_args([command, f"--{key.replace('_', '-')}", text])
+        assert getattr(args, key) is not None
+        cfg, _, _ = resolve_config(args)
+        assert cfg[key] == value and type(cfg[key]) is type(value)
 
 
 def test_stdout_report_when_no_out(capsys):
@@ -140,8 +173,11 @@ def test_bad_j_values(tmp_path, capsys):
     (["holonomy", "--max-depth", "0"], None, "max_depth"),
     (["robustness", "--trials", "0"], None, "trials"),
     (["scan-periodic", "--tol", "-5"], None, "tol"),
+    (["degree", "--seed", "-1"], None, "seed"),
+    (["robustness", "--c0-grid", "0"], None, "c0_grid"),
 ], ids=["float-k", "float-steps", "bool-samples", "negative-burn-in", "unknown-method",
-        "zero-grid", "empty-j-values", "zero-max-depth", "zero-trials", "negative-tol"])
+        "zero-grid", "empty-j-values", "zero-max-depth", "zero-trials", "negative-tol",
+        "negative-seed", "zero-c0-grid"])
 def test_invalid_settings_are_config_errors(args, config, key, tmp_path, capsys):
     """Bad values stop in resolve_config: exit 1 with one error line that
     names the setting, and no traceback."""
@@ -271,16 +307,45 @@ def test_seed_changes_results(tmp_path):
 
 # -- files and precedence ------------------------------------------------------------
 
-def test_csv_output(tmp_path):
+# each command's CSV header, and the records of its results that get one row each
+CSV_TABLES = {
+    "lyap": (["method", "value", "std_error", "n_steps", "n_samples"],
+             lambda r: [r["estimates"][m] for m in sorted(r["estimates"])]),
+    "robustness": (["trial", "c0_grid", "c0_certified", "value", "std_error"],
+                   lambda r: r["trials"]),
+    "continuity": (["j", "c0_certified", "value", "std_error", "delta"], lambda r: r["rows"]),
+    "scan-periodic": (["period", "representative", "trace", "hyperbolic"],
+                      lambda r: r["orbits"]),
+    "holonomy": (["pair", "x0", "y0", "converged", "depth_used", "cauchy_residual",
+                  "equivariance_residual"], lambda r: r["pairs"]),
+    "bunching": (["k", "theta", "bunched", "margin", "sup_certified", "sup_grid"],
+                 lambda r: [r]),
+    "degree": (["k", "twist_degree", "single_solvable", "single_degree",
+                "pair_solvable", "pair_degree", "obstructed"], lambda r: [r]),
+    "section": (["restart", "jittered", "residual"], lambda r: r["runs"]),
+    "natext": (["k", "n_charts", "delta", "lambda", "conjugacy_max_residual", "bound"],
+               lambda r: [r]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_csv_output(command, tmp_path):
+    """One row per record; a column named like a record field holds that
+    field, bools as 0/1 and null as an empty cell."""
     out_csv = tmp_path / "table.csv"
-    code, report = run_cli(["lyap", *FAST_ARGS["lyap"], "--csv", str(out_csv)],
-                           tmp_path)
+    code, report = run_cli([command, *FAST_ARGS[command], "--csv", str(out_csv)], tmp_path)
     assert code == 0
     with open(out_csv, newline="") as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["method", "value", "std_error", "n_steps", "n_samples"]
-    assert len(rows) == 3  # header + both estimators
-    assert float(rows[1][1]) == report["results"]["estimates"]["furstenberg"]["value"]
+    header, records = CSV_TABLES[command]
+    records = records(report["results"])
+    assert rows[0] == header
+    assert len(rows) == 1 + len(records) and records
+    for row, rec in zip(rows[1:], records):
+        for name, cell in zip(header, row):
+            if name in rec:
+                v = rec[name]
+                assert cell == ("" if v is None else str(int(v) if type(v) is bool else v))
 
 
 def test_config_file_and_flag_precedence(tmp_path):
