@@ -167,13 +167,20 @@ def window_width(k: int) -> int:
 
 
 def _orbit(k: int, digits, n: int) -> np.ndarray:
-    """x_0 .. x_{n-1} from a digit stream; each window read by Horner's rule in int64."""
+    """x_0 .. x_{n-1} from a digit stream; each window of w digits read as one int64.
+
+    p holds the windows of s = 1, 2, 4, ... digits; v joins them by the bits of w.
+    """
     w = window_width(k)
-    d = np.asarray(digits[:n + w], dtype=np.int64)
-    v = d[:n].copy()
-    for i in range(1, w):
-        v *= k
-        v += d[i:i + n]
+    p = np.asarray(digits[:n + w], dtype=np.int64)
+    v, used, s = 0, 0, 1
+    while s <= w:
+        if w & s:
+            v = v * k**s + p[used:used + n]
+            used += s
+        if 2 * s <= w:
+            p = p[:-s] * k**s + p[s:]
+        s *= 2
     return v / float(k**w)
 
 

@@ -116,6 +116,8 @@ COMMON_DEFAULTS = {"k": 8, "seed": DEFAULT_SEED}
 COUNT_KEYS = frozenset({"steps", "samples", "direction_steps", "trials", "c0_grid",
                         "max_period", "pairs", "max_depth", "grid", "iterations",
                         "restarts", "depth"})
+# commands whose grid samples a projective loop: a power of two >= 8
+LOOP_GRID_COMMANDS = ("degree", "section")
 # settings whose default is null, and the type of a non-null value
 NULLABLE_TYPES = {"burn_in": int, "theta": float}
 METHODS = ("both", "norm-growth", "furstenberg")
@@ -174,7 +176,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
             cfg["j_values"] = [int(t) for t in cfg["j_values"].split(",") if t]
         except ValueError as e:
             raise ConfigError(f"bad --j-values: {e}") from e
-    _validate(cfg, {**COMMON_DEFAULTS, **DEFAULTS[cmd]})
+    _validate(cfg, cmd)
 
     spec_data = None
     if args.spec:
@@ -205,12 +207,13 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
     return cfg, spec, map_
 
 
-def _validate(cfg: dict, defaults: dict) -> None:
+def _validate(cfg: dict, cmd: str) -> None:
     """Each setting must have the type of its default and a usable value.
 
     A bool is never an int; an int is accepted where a float is expected
     and stored as that float, so the report records what actually ran.
     """
+    defaults = {**COMMON_DEFAULTS, **DEFAULTS[cmd]}
     for key, val in cfg.items():
         if key in NULLABLE_TYPES:
             if val is None:
@@ -222,9 +225,13 @@ def _validate(cfg: dict, defaults: dict) -> None:
             val = cfg[key] = float(val)
         if isinstance(val, bool) or not isinstance(val, want):
             raise ConfigError(f"{key} must be of type {want.__name__}, got {val!r}")
+        if want is float and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
         if key in COUNT_KEYS and val < 1:
             raise ConfigError(f"{key} must be >= 1, got {val}")
-        if key in ("burn_in", "tol", "seed") and not val >= 0:
+        if key == "grid" and cmd in LOOP_GRID_COMMANDS and (val < 8 or val & (val - 1)):
+            raise ConfigError(f"grid must be a power of two >= 8 for {cmd}, got {val}")
+        if key in ("burn_in", "tol", "seed", "epsilon") and not val >= 0:
             raise ConfigError(f"{key} must be >= 0, got {val}")
         if key == "method" and val not in METHODS:
             raise ConfigError(f"method must be one of {list(METHODS)}, got {val!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from .circle import ExpandingMap
 from .cocycle import CocycleSpec, evaluate, oseledets_stable_direction, rng_from
 from .errors import DegreeCheckError, NoHyperbolicityError, ResolutionError
-from .sl2 import ProjPoint, proj_distance, projective_action
+from .sl2 import ProjPoint, projective_action
 
 PI = math.pi
 MAX_GAP = PI / 4.0
@@ -50,16 +50,14 @@ class ProjectiveLoop:
     def n(self) -> int:
         return int(self.samples.shape[0])
 
-    def value(self, x: float) -> float:
-        """Angle at x by interpolation along the shorter projective arc."""
-        x = x % 1.0
-        t = x * self.n
-        j = int(t)
-        frac = t - j
-        s0 = self.samples[j % self.n]  # x % 1.0 can round up to 1.0
+    def value(self, x):
+        """Angle at x (float or array) by interpolation along the shorter projective arc."""
+        t = np.mod(x, 1.0) * self.n
+        j = np.floor(t).astype(np.int64)
+        s0 = self.samples[j % self.n]  # x mod 1 can round up to 1.0
         s1 = self.samples[(j + 1) % self.n]
-        step = (s1 - s0 + PI / 2.0) % PI - PI / 2.0
-        return (s0 + frac * step) % PI
+        step = np.mod(s1 - s0 + PI / 2.0, PI) - PI / 2.0
+        return np.mod(s0 + (t - j) * step, PI)
 
 
 def max_adjacent_gap(loop: ProjectiveLoop) -> float:
@@ -98,11 +96,14 @@ def rotate_loop(loop: ProjectiveLoop, other: ProjectiveLoop) -> ProjectiveLoop:
     return ProjectiveLoop(np.mod(loop.samples + other.samples, PI))
 
 
+def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Angles of A(x) v(theta), one per point (x, theta) of xs and angles."""
+    return np.array([projective_action(evaluate(spec, x), ProjPoint(t)).angle
+                     for x, t in zip(xs.tolist(), angles.tolist())])
+
+
 def _action_loop(spec: CocycleSpec, v: ProjPoint, grid_n: int) -> ProjectiveLoop:
-    out = np.empty(grid_n)
-    for j in range(grid_n):
-        out[j] = projective_action(evaluate(spec, j / grid_n), v).angle
-    return ProjectiveLoop(out)
+    return ProjectiveLoop(_push(spec, np.arange(grid_n) / grid_n, np.full(grid_n, v.angle)))
 
 
 def twist_degree(spec: CocycleSpec, grid_n: int = 4096, max_grid: int = 1 << 16) -> int:
@@ -212,30 +213,23 @@ def section_consistency_search(spec: CocycleSpec, m: ExpandingMap,
         samples = np.mod(samples + jitter, PI)
     loop = ProjectiveLoop(samples)
 
+    xs = np.arange(grid_n) / grid_n / m.k  # inverse branch 0
     for _ in range(n_iterations):
-        new = np.empty(grid_n)
-        for j in range(grid_n):
-            x = (j / grid_n) / m.k  # inverse branch 0
-            p = ProjPoint(loop.value(x))
-            new[j] = projective_action(evaluate(spec, x), p).angle
-        loop = ProjectiveLoop(new)
+        loop = ProjectiveLoop(_push(spec, xs, loop.value(xs)))
 
     return loop, section_residual(spec, m, loop)
 
 
 def section_residual(spec: CocycleSpec, m: ExpandingMap, loop: ProjectiveLoop) -> float:
     """sup over grid points of the spread of {xi(y)} u {A(x) xi(x): f(x) = y}."""
-    worst = 0.0
-    for j in range(loop.n):
-        y = j / loop.n
-        cands = [ProjPoint(loop.samples[j])]
-        for d in range(m.k):
-            x = (y + d) / m.k
-            p = ProjPoint(loop.value(x))
-            cands.append(projective_action(evaluate(spec, x), p))
-        spread = 0.0
-        for i in range(len(cands)):
-            for l in range(i + 1, len(cands)):
-                spread = max(spread, proj_distance(cands[i], cands[l]))
-        worst = max(worst, spread)
-    return worst
+    ys = np.arange(loop.n) / loop.n
+    cands = [loop.samples]
+    spread = np.zeros(loop.n)
+    for d in range(m.k):  # one branch at a time keeps memory at k + 1 columns
+        xs = (ys + d) / m.k
+        new = _push(spec, xs, loop.value(xs))
+        for c in cands:
+            gap = np.abs(new - c)
+            spread = np.maximum(spread, np.minimum(gap, PI - gap))
+        cands.append(new)
+    return float(np.max(spread))

@@ -175,9 +175,15 @@ def test_bad_j_values(tmp_path, capsys):
     (["scan-periodic", "--tol", "-5"], None, "tol"),
     (["degree", "--seed", "-1"], None, "seed"),
     (["robustness", "--c0-grid", "0"], None, "c0_grid"),
+    (["robustness", "--epsilon", "-1"], None, "epsilon"),
+    (["robustness", "--epsilon", "nan"], None, "epsilon"),
+    (["holonomy", "--tol", "inf"], None, "tol"),
+    (["section", "--grid", "100"], None, "grid"),
+    (["degree", "--grid", "100"], None, "grid"),
 ], ids=["float-k", "float-steps", "bool-samples", "negative-burn-in", "unknown-method",
         "zero-grid", "empty-j-values", "zero-max-depth", "zero-trials", "negative-tol",
-        "negative-seed", "zero-c0-grid"])
+        "negative-seed", "zero-c0-grid", "negative-epsilon", "nan-epsilon", "inf-tol",
+        "section-grid-not-power-of-two", "degree-grid-not-power-of-two"])
 def test_invalid_settings_are_config_errors(args, config, key, tmp_path, capsys):
     """Bad values stop in resolve_config: exit 1 with one error line that
     names the setting, and no traceback."""
@@ -396,6 +402,8 @@ def test_spec_file_overrides_config_spec(tmp_path):
     # k = 3 windows are not a power of two; perturbed specs carry 8 twist terms
     pytest.param("robustness_k3", ["robustness", "--k", "3", "--trials", "4"],
                  id="robustness-3"),
+    pytest.param("section_k8", ["section", "--k", "8", "--grid", "512", "--iterations", "10",
+                                "--restarts", "2"], id="section-8"),
 ])
 def test_baseline_regenerates(baseline, args, tmp_path):
     """Runs with the recorded arguments must reproduce the frozen

@@ -11,10 +11,15 @@ from cocyclelab import (
     CocycleSpec,
     ExpandingMap,
     Mat2,
+    ProjPoint,
     ProjectiveLoop,
     ResolutionError,
     degree_obstruction,
+    evaluate,
     max_adjacent_gap,
+    perturb,
+    proj_distance,
+    projective_action,
     rotate_loop,
     section_consistency_search,
     section_residual,
@@ -66,6 +71,27 @@ def test_loop_value_interpolates_on_grid():
     # -1e-20 % 1.0 rounds to 1.0, one past the last sample index
     assert loop.value(-1e-20) == loop.samples[0]
     assert ProjectiveLoop(np.linspace(0, 1, 8)).value(-1e-20) == 0.0
+
+
+def value_by_floats(loop: ProjectiveLoop, x: float) -> float:
+    """The interpolation in Python floats and ints, one point at a time."""
+    t = (x % 1.0) * loop.n
+    j = int(t)
+    s0, s1 = float(loop.samples[j % loop.n]), float(loop.samples[(j + 1) % loop.n])
+    step = (s1 - s0 + PI / 2.0) % PI - PI / 2.0
+    return (s0 + (t - j) * step) % PI
+
+
+def test_loop_value_on_an_array_is_the_scalar_value():
+    loop = smooth_loop(3, n=64, seed=7)
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([np.arange(64) / 64, [1.0, -1e-20, 0.0, -0.0],
+                         rng.uniform(-2.0, 3.0, size=1000)])
+    values = loop.value(xs)
+    assert values.shape == xs.shape
+    for want in ([loop.value(x) for x in xs.tolist()],
+                 [value_by_floats(loop, x) for x in xs.tolist()]):
+        assert np.array_equal(values.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_loop_value_takes_shorter_arc():
@@ -224,3 +250,28 @@ def test_search_rotation_control():
                                              n_iterations=30, direction_steps=64)
     assert resid == pytest.approx(0.7, abs=1e-9)
     assert section_residual(rot, example_map(), loop) == resid
+
+
+def residual_by_points(spec, m, loop):
+    """Per-point, per-candidate spread: the residual's definition written out."""
+    worst = 0.0
+    for j in range(loop.n):
+        y = j / loop.n
+        cands = [ProjPoint(loop.samples[j])]
+        for d in range(m.k):
+            x = (y + d) / m.k
+            cands.append(projective_action(evaluate(spec, x), ProjPoint(loop.value(x))))
+        for i in range(len(cands)):
+            for l in range(i + 1, len(cands)):
+                worst = max(worst, proj_distance(cands[i], cands[l]))
+    return worst
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_section_residual_matches_pointwise_definition(k):
+    spec = perturb(example_spec(), 0.05, seed=(4, 2))
+    jitter = np.random.default_rng([21, k]).uniform(-0.3, 0.3, size=128)
+    loop = ProjectiveLoop(smooth_loop(1, n=128, seed=k).samples + jitter)
+    got = section_residual(spec, ExpandingMap(k), loop)
+    assert type(got) is float
+    assert got == residual_by_points(spec, ExpandingMap(k), loop)
