@@ -16,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 MAX_ENUMERATION = 10_000_000
+# the largest k whose digit windows fit int64 (window_width)
+MAX_STREAM_K = 512
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,8 @@ def shift_backward(it: BackwardItinerary) -> BackwardItinerary:
 
 def window_width(k: int) -> int:
     """Digits per window so that k^width is close to (and at most) 2^62."""
-    if k > 512:
-        raise ValueError("digit-stream orbits support k <= 512")
+    if k > MAX_STREAM_K:
+        raise ValueError(f"digit-stream orbits support k <= {MAX_STREAM_K}")
     w = int(62 / math.log2(k))
     while k ** (w + 1) <= 2**62:
         w += 1
@@ -211,54 +213,45 @@ class PeriodicPoint:
         return float(self.x)
 
 
-def _minimal_period(j: int, n: int, k: int) -> int:
-    # x = j/(k^n - 1) has period m | n iff (k^m - 1) * j is divisible by k^n - 1
-    denom = k**n - 1
-    for m in range(1, n):
-        if n % m == 0 and (k**m - 1) * j % denom == 0:
-            return m
-    return n
-
-
 def periodic_points(m: ExpandingMap, max_period: int) -> list[PeriodicPoint]:
     """All periodic points of minimal period <= max_period, exact rationals.
 
-    f^n fixes exactly the k^n - 1 rationals j/(k^n - 1); each is emitted
-    once, tagged with its minimal period.
+    f^n fixes exactly the k^n - 1 rationals j/(k^n - 1), and f maps
+    j/(k^n - 1) to (k j mod (k^n - 1))/(k^n - 1).  Points come orbit by
+    orbit in orbit order, each orbit starting at its least point, the
+    orbits ordered by (period, least point).
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    if m.k**max_period - 1 > MAX_ENUMERATION:
+    k = m.k
+    if k**max_period - 1 > MAX_ENUMERATION:
         raise OverflowError(
-            f"k^n - 1 = {m.k}^{max_period} - 1 periodic points exceeds the "
+            f"k^n - 1 = {k}^{max_period} - 1 periodic points exceeds the "
             f"enumeration cap {MAX_ENUMERATION}"
         )
     out = []
     for n in range(1, max_period + 1):
-        denom = m.k**n - 1
+        denom = k**n - 1
         for j in range(denom):
-            if _minimal_period(j, n, m.k) == n:
-                out.append(PeriodicPoint(Fraction(j, denom), n))
+            # j is the least point of its cycle and n its minimal period iff
+            # the walk from j stays above j and returns after n steps
+            cycle = [j]
+            y = j * k % denom
+            while y > j:
+                cycle.append(y)
+                y = y * k % denom
+            if y == j and len(cycle) == n:
+                out.extend(PeriodicPoint(Fraction(i, denom), n) for i in cycle)
     return out
 
 
 def periodic_orbits(m: ExpandingMap, max_period: int) -> list[list[PeriodicPoint]]:
     """Periodic points grouped into orbits, each starting at its smallest
     point, sorted by (period, representative)."""
-    seen: set[Fraction] = set()
+    pts = periodic_points(m, max_period)
     orbits = []
-    for p in periodic_points(m, max_period):
-        if p.x in seen:
-            continue
-        cycle = [p.x]
-        x = (m.k * p.x) % 1
-        while x != p.x:
-            cycle.append(x)
-            x = (m.k * x) % 1
-        rep = min(cycle)
-        i = cycle.index(rep)
-        cycle = cycle[i:] + cycle[:i]
-        seen.update(cycle)
-        orbits.append([PeriodicPoint(x, p.period) for x in cycle])
-    orbits.sort(key=lambda o: (o[0].period, o[0].x))
+    i = 0
+    while i < len(pts):
+        orbits.append(pts[i:i + pts[i].period])
+        i += pts[i].period
     return orbits

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .circle import ExpandingMap, BackwardItinerary, periodic_orbits
+from .circle import MAX_STREAM_K, ExpandingMap, BackwardItinerary, periodic_orbits
 from .cocycle import (
     DEFAULT_SEED,
     CocycleSpec,
@@ -41,7 +41,7 @@ from .errors import (
     ResolutionError,
 )
 from .holonomy import holonomy_equivariance_residual, u_holonomy
-from .natext import aligned_anchor, build_realization, conjugacy_residual
+from .natext import MAX_ANCHOR_K, aligned_anchor, build_realization, conjugacy_residual
 from .reports import dump_report, make_report, utc_now, write_csv
 from .sections import (
     degree_obstruction,
@@ -49,7 +49,7 @@ from .sections import (
     stable_direction_loop,
     twist_degree,
 )
-from .sl2 import DET_TOL, Mat2, is_hyperbolic
+from .sl2 import DET_TOL, Mat2, _mul
 
 CROSS_CHECK_FLOOR = 1e-9
 
@@ -118,6 +118,10 @@ COUNT_KEYS = frozenset({"steps", "samples", "direction_steps", "trials", "c0_gri
                         "restarts", "depth"})
 # commands whose grid samples a projective loop: a power of two >= 8
 LOOP_GRID_COMMANDS = ("degree", "section")
+# commands whose k is bounded: (largest k, what bounds it)
+K_LIMITS = {cmd: (MAX_STREAM_K, "digit-stream orbits")
+            for cmd in ("lyap", "robustness", "continuity")}
+K_LIMITS["natext"] = (MAX_ANCHOR_K, "anchor lattice headroom")
 # settings whose default is null, and the type of a non-null value
 NULLABLE_TYPES = {"burn_in": int, "theta": float}
 METHODS = ("both", "norm-growth", "furstenberg")
@@ -227,6 +231,9 @@ def _validate(cfg: dict, cmd: str) -> None:
             raise ConfigError(f"{key} must be of type {want.__name__}, got {val!r}")
         if want is float and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
+        if key == "k" and cmd in K_LIMITS and val > K_LIMITS[cmd][0]:
+            limit, why = K_LIMITS[cmd]
+            raise ConfigError(f"k must satisfy k <= {limit} for {cmd} ({why}), got {val}")
         if key in COUNT_KEYS and val < 1:
             raise ConfigError(f"{key} must be >= 1, got {val}")
         if key == "grid" and cmd in LOOP_GRID_COMMANDS and (val < 8 or val & (val - 1)):
@@ -353,13 +360,18 @@ def cmd_scan_periodic(cfg, spec, map_):
     witness = None
     n_hyp = 0
     for orbit in orbits:
-        m = Mat2.identity()
+        # raw entries, not Mat2: its sqrt(det) rescaling is cancellation noise for large factors
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
         for p in orbit:
-            m = evaluate(spec, p.as_float()) @ m
-        hyp = is_hyperbolic(m, cfg["tol"])
+            e = evaluate(spec, p.as_float())
+            a, b, c, d = _mul(e.a, e.b, e.c, e.d, a, b, c, d)
+        trace = a + d
+        if not math.isfinite(trace):  # a non-finite entry reaches a or d
+            raise NumericOverflowError(f"orbit product at {orbit[0].x} left float range")
+        hyp = abs(trace) > 2.0 + cfg["tol"]
         n_hyp += hyp
         entry = {"period": orbit[0].period, "representative": str(orbit[0].x),
-                 "trace": m.trace(), "hyperbolic": hyp}
+                 "trace": trace, "hyperbolic": hyp}
         table.append(entry)
         if hyp and witness is None:
             witness = dict(entry, x_float=orbit[0].as_float())

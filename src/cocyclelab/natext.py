@@ -26,6 +26,9 @@ import numpy as np
 from .circle import BackwardItinerary, ExpandingMap, apply_map, shift_backward, truncate_itinerary
 from .errors import DepthError, ResolutionError
 
+# aligned_anchor's 2^-49 lattice keeps x + d exact for digits d < k <= 8
+MAX_ANCHOR_K = 8
+
 
 def _plateau(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 1 for t <= 0, 0 for t >= 1, exp-mollified between."""
@@ -227,6 +230,6 @@ def aligned_anchor(real: NatExtRealization, rng) -> float:
     round-trips through f bitwise and conjugacy_residual measures the
     fiber identity alone rather than anchor quantization.
     """
-    if real.map.k > 8:
-        raise ValueError("anchor lattice leaves headroom only for k <= 8")
+    if real.map.k > MAX_ANCHOR_K:
+        raise ValueError(f"anchor lattice leaves headroom only for k <= {MAX_ANCHOR_K}")
     return float(rng.integers(0, 2**49)) / 2.0**49

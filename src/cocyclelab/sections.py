@@ -57,7 +57,8 @@ class ProjectiveLoop:
         s0 = self.samples[j % self.n]  # x mod 1 can round up to 1.0
         s1 = self.samples[(j + 1) % self.n]
         step = np.mod(s1 - s0 + PI / 2.0, PI) - PI / 2.0
-        return np.mod(s0 + (t - j) * step, PI)
+        v = np.mod(s0 + (t - j) * step, PI)
+        return np.where(v >= PI, 0.0, v)[()]  # as in __post_init__; [()] keeps scalars scalar
 
 
 def max_adjacent_gap(loop: ProjectiveLoop) -> float:

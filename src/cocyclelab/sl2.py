@@ -1,8 +1,10 @@
 """Exact-ish SL(2,R) arithmetic and the induced projective circle action.
 
-Matrices are kept on the det = 1 surface by renormalizing with sqrt(det)
-at construction time, so long chains of products do not drift off the
-group.  Directions in RP^1 are angles modulo pi with the metric
+Mat2 is the validated det = 1 type for inputs and single evaluations:
+it renormalizes by sqrt(det) at construction.  Computed products are
+kept as raw entries (_mul) or as cocycle.ScaledMatrix, not as chains of
+Mat2: for a product of large matrices the determinant is cancellation
+noise.  Directions in RP^1 are angles modulo pi with the metric
 d(p, q) = min(|p - q|, pi - |p - q|).
 """
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cocyclelab import (
     BackwardItinerary,
     ExpandingMap,
+    PeriodicPoint,
     apply_map,
     circle_distance,
     extend_itinerary,
@@ -23,6 +24,7 @@ from cocyclelab import (
     shift_forward,
     truncate_itinerary,
 )
+from cocyclelab import circle
 from cocyclelab.circle import MAX_ENUMERATION, window_width
 
 ks = st.sampled_from([2, 3, 5, 8, 10])
@@ -291,6 +293,62 @@ def test_periodic_orbit_structure():
             assert (2 * a.x) % 1 == b.x
     keys = [(o[0].period, o[0].x) for o in orbits]
     assert keys == sorted(keys)
+
+
+def _minimal_period(j: int, n: int, k: int) -> int:
+    # x = j/(k^n - 1) has period m | n iff (k^m - 1) * j is divisible by k^n - 1
+    denom = k**n - 1
+    for m in range(1, n):
+        if n % m == 0 and (k**m - 1) * j % denom == 0:
+            return m
+    return n
+
+
+def orbits_by_fractions(k: int, max_period: int) -> list[list[PeriodicPoint]]:
+    """The orbits by an independent route: minimal periods by divisibility,
+    each orbit walked in Fraction arithmetic, rotated to its least point,
+    sorted by (period, least point)."""
+    seen, orbits = set(), []
+    for n in range(1, max_period + 1):
+        denom = k**n - 1
+        for j in range(denom):
+            x = Fraction(j, denom)
+            if _minimal_period(j, n, k) != n or x in seen:
+                continue
+            cycle = [x]
+            y = (k * x) % 1
+            while y != x:
+                cycle.append(y)
+                y = (k * y) % 1
+            i = cycle.index(min(cycle))
+            cycle = cycle[i:] + cycle[:i]
+            seen.update(cycle)
+            orbits.append([PeriodicPoint(y, n) for y in cycle])
+    orbits.sort(key=lambda o: (o[0].period, o[0].x))
+    return orbits
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_periodic_orbits_match_rational_enumeration(k):
+    # the largest period whose k^n - 1 fixed points stay below 10^4
+    max_period = max(n for n in range(1, 14) if k**n - 1 <= 10_000)
+    want = orbits_by_fractions(k, max_period)
+    assert periodic_orbits(ExpandingMap(k), max_period) == want
+    assert periodic_points(ExpandingMap(k), max_period) == [p for o in want for p in o]
+
+
+def test_periodic_orbits_enumerate_once(monkeypatch):
+    calls = []
+
+    def counting(m, max_period):
+        calls.append(max_period)
+        return periodic_points(m, max_period)
+
+    monkeypatch.setattr(circle, "periodic_points", counting)
+    orbits = periodic_orbits(ExpandingMap(3), 4)
+    assert calls == [4]
+    # fixed points of f^4 and of f^3, which share the 2 fixed points of f
+    assert sum(len(o) for o in orbits) == (3**4 - 1) + (3**3 - 1) - 2
 
 
 def test_fixed_points_explicit():

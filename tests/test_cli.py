@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -16,6 +17,8 @@ from cocyclelab import (
     NoHyperbolicityError,
     NumericOverflowError,
     ResolutionError,
+    evaluate,
+    spec_from_json,
 )
 from cocyclelab.cli import (
     COMMON_DEFAULTS,
@@ -180,10 +183,13 @@ def test_bad_j_values(tmp_path, capsys):
     (["holonomy", "--tol", "inf"], None, "tol"),
     (["section", "--grid", "100"], None, "grid"),
     (["degree", "--grid", "100"], None, "grid"),
+    (["natext", "--k", "9"], None, "k"),
+    (["lyap", "--k", "600"], None, "k"),
 ], ids=["float-k", "float-steps", "bool-samples", "negative-burn-in", "unknown-method",
         "zero-grid", "empty-j-values", "zero-max-depth", "zero-trials", "negative-tol",
         "negative-seed", "zero-c0-grid", "negative-epsilon", "nan-epsilon", "inf-tol",
-        "section-grid-not-power-of-two", "degree-grid-not-power-of-two"])
+        "section-grid-not-power-of-two", "degree-grid-not-power-of-two", "natext-k-9",
+        "lyap-k-600"])
 def test_invalid_settings_are_config_errors(args, config, key, tmp_path, capsys):
     """Bad values stop in resolve_config: exit 1 with one error line that
     names the setting, and no traceback."""
@@ -211,6 +217,31 @@ def test_natext_k_beyond_anchor_lattice(tmp_path, capsys):
     assert "k <= 8" in capsys.readouterr().err
 
 
+def test_scan_periodic_large_base_traces(tmp_path):
+    """Orbit products of diag(10, 1/10) twists: every CSV trace is within
+    1e-12 relative of the exact product of the same evaluate matrices."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"base": [[10.0, 0.0], [0.0, 0.1]], "winding": 1,
+                                     "twist": []}))
+    out_csv = tmp_path / "orbits.csv"
+    code, report = run_cli(["scan-periodic", "--spec", str(spec_file), "--k", "2",
+                            "--max-period", "12", "--csv", str(out_csv)], tmp_path)
+    assert code == 0 and report["results"]["n_points"] == 8031
+    spec = spec_from_json(report["config"]["spec"])
+    with open(out_csv, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == report["results"]["n_orbits"]
+    for row in rows:
+        x = Fraction(row["representative"])
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(int(row["period"])):
+            m = evaluate(spec, float(x))
+            ea, eb, ec, ed = map(Fraction, (m.a, m.b, m.c, m.d))
+            a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+            x = (2 * x) % 1
+        assert abs(float(row["trace"]) - (a + d)) <= 1e-12 * abs(a + d), row
+
+
 # -- exit code 2: numeric failure -------------------------------------------------
 
 @pytest.mark.parametrize("exc", [
@@ -227,6 +258,16 @@ def test_numeric_failures_exit_2(monkeypatch, capsys, exc):
     monkeypatch.setitem(RUNNERS, "bunching", blow_up)
     assert main(["bunching", "--grid", "512"]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_scan_periodic_overflow_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"base": [[1e200, 0.0], [0.0, 1e-200]], "winding": 1,
+                                     "twist": []}))
+    code, report = run_cli(["scan-periodic", "--spec", str(spec_file), "--max-period", "2"],
+                           tmp_path)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
 def test_unresolvable_twist_degree_exits_2(tmp_path, capsys):

@@ -79,7 +79,20 @@ def value_by_floats(loop: ProjectiveLoop, x: float) -> float:
     j = int(t)
     s0, s1 = float(loop.samples[j % loop.n]), float(loop.samples[(j + 1) % loop.n])
     step = (s1 - s0 + PI / 2.0) % PI - PI / 2.0
-    return (s0 + (t - j) * step) % PI
+    v = (s0 + (t - j) * step) % PI
+    return 0.0 if v >= PI else v
+
+
+def test_loop_value_stays_below_pi():
+    # s0 + t * step = -1e-20 here, and np.mod(-1e-20, pi) rounds up to pi
+    samples = np.zeros(8)
+    samples[1] = PI - 1e-3
+    loop = ProjectiveLoop(samples)
+    assert loop.value(1.25e-18) == 0.0
+    assert isinstance(loop.value(1.25e-18), float)
+    xs = np.append(np.random.default_rng(5).uniform(-1.0, 2.0, size=1000), 1.25e-18)
+    values = loop.value(xs)
+    assert np.all((0.0 <= values) & (values < PI))
 
 
 def test_loop_value_on_an_array_is_the_scalar_value():
