@@ -224,11 +224,10 @@ def periodic_points(m: ExpandingMap, max_period: int) -> list[PeriodicPoint]:
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     k = m.k
-    if k**max_period - 1 > MAX_ENUMERATION:
-        raise OverflowError(
-            f"k^n - 1 = {k}^{max_period} - 1 periodic points exceeds the "
-            f"enumeration cap {MAX_ENUMERATION}"
-        )
+    walk = k * (k**max_period - 1) // (k - 1) - max_period  # sum of k^n - 1, the j walked
+    if walk > MAX_ENUMERATION:
+        raise OverflowError(f"periods <= {max_period} walk {walk} values of j, "
+                            f"above the enumeration cap {MAX_ENUMERATION}")
     out = []
     for n in range(1, max_period + 1):
         denom = k**n - 1

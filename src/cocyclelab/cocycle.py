@@ -213,16 +213,16 @@ class ScaledMatrix:
         """log of the largest singular value of the true product."""
         return self.log_scale + math.log(_s_max(self.a, self.b, self.c, self.d))
 
-    def singular_gap(self) -> float:
-        """s_max/s_min of the product; inf once s_min underflows."""
-        s_max, s_min, _, _ = _svd_raw(self.a, self.b, self.c, self.d)
-        if s_min <= 0.0:
-            return math.inf
-        return s_max / s_min
+    def stable_direction(self, min_gap: float) -> ProjPoint:
+        """The input direction most contracted by the product.
 
-    def contracted_direction(self) -> ProjPoint:
-        """The input direction most contracted by the product."""
-        _, _, _, right = _svd_raw(self.a, self.b, self.c, self.d)
+        Raises NoHyperbolicityError unless s_max/s_min, inf once s_min
+        underflows, is at least min_gap.
+        """
+        s_max, s_min, _, right = _svd_raw(self.a, self.b, self.c, self.d)
+        gap = s_max / s_min if s_min > 0.0 else math.inf
+        if not gap >= min_gap:
+            raise NoHyperbolicityError(gap, min_gap)
         return ProjPoint(-right + 0.5 * math.pi)
 
     def matrix(self) -> Mat2:
@@ -423,11 +423,7 @@ def oseledets_stable_direction(spec: CocycleSpec, m: ExpandingMap, x: float,
     direction error from orbit truncation decays like the square of the
     contraction, so modest n already pins E^s to near machine precision.
     """
-    prod = cocycle_product(spec, m, x, n)
-    gap = prod.singular_gap()
-    if not gap >= min_gap:
-        raise NoHyperbolicityError(gap, min_gap)
-    return prod.contracted_direction()
+    return cocycle_product(spec, m, x, n).stable_direction(min_gap)
 
 
 def _furstenberg_sample(spec: CocycleSpec, m: ExpandingMap, n_direction: int,
@@ -435,11 +431,7 @@ def _furstenberg_sample(spec: CocycleSpec, m: ExpandingMap, n_direction: int,
     w = window_width(m.k)
     digits = rng.integers(0, m.k, size=n_direction + w)
     xs = orbit_from_digits(m.k, digits, n_direction)
-    prod = _product_along(spec, xs)
-    gap = prod.singular_gap()
-    if not gap >= 1e3:
-        raise NoHyperbolicityError(gap, 1e3)
-    return -phi(spec, float(xs[0]), prod.contracted_direction())
+    return -phi(spec, float(xs[0]), _product_along(spec, xs).stable_direction(1e3))
 
 
 def lyapunov_furstenberg(spec: CocycleSpec, m: ExpandingMap, n_direction: int = 256,

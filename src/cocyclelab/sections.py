@@ -11,7 +11,6 @@ these cocycles away from zero exponents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +19,8 @@ import numpy as np
 from .circle import ExpandingMap
 from .cocycle import CocycleSpec, evaluate, oseledets_stable_direction, rng_from
 from .errors import DegreeCheckError, NoHyperbolicityError, ResolutionError
-from .sl2 import ProjPoint, projective_action
+from .sl2 import PI, _arc, _dist, _pushed_angle, _wrap
 
-PI = math.pi
 MAX_GAP = PI / 4.0
 
 
@@ -42,9 +40,7 @@ class ProjectiveLoop:
             raise ValueError("need a 1-d sample array whose length is a power of two >= 8")
         if not np.all(np.isfinite(s)):
             raise ValueError("non-finite loop samples")
-        s = np.mod(s, PI)
-        s[s >= PI] = 0.0
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", _wrap(s))
 
     @property
     def n(self) -> int:
@@ -56,16 +52,12 @@ class ProjectiveLoop:
         j = np.floor(t).astype(np.int64)
         s0 = self.samples[j % self.n]  # x mod 1 can round up to 1.0
         s1 = self.samples[(j + 1) % self.n]
-        step = np.mod(s1 - s0 + PI / 2.0, PI) - PI / 2.0
-        v = np.mod(s0 + (t - j) * step, PI)
-        return np.where(v >= PI, 0.0, v)[()]  # as in __post_init__; [()] keeps scalars scalar
+        return _wrap(s0 + (t - j) * _arc(s0, s1))
 
 
 def max_adjacent_gap(loop: ProjectiveLoop) -> float:
     """Largest projective distance between consecutive samples (cyclically)."""
-    s = loop.samples
-    d = np.abs(np.diff(np.concatenate([s, s[:1]])))
-    return float(np.max(np.minimum(d, PI - d)))
+    return float(np.max(_dist(loop.samples, np.roll(loop.samples, -1))))
 
 
 def winding_number(loop: ProjectiveLoop) -> int:
@@ -75,36 +67,32 @@ def winding_number(loop: ProjectiveLoop) -> int:
     or more aborts with ResolutionError since the lift is then unreliable
     (re-sample with n doubled).
     """
-    s = loop.samples
-    lift = float(s[0])
-    for j in range(1, loop.n + 1):
-        target = float(s[j % loop.n])
-        step = (target - lift + PI / 2.0) % PI - PI / 2.0
-        if abs(step) >= MAX_GAP:
-            raise ResolutionError(
-                f"projective jump {abs(step):.3f} >= pi/4 between samples "
-                f"{j - 1} and {j % loop.n} of {loop.n}; refine the grid"
-            )
-        lift += step
-    w = (lift - float(s[0])) / PI
-    return int(round(w))
+    steps = _arc(loop.samples, np.roll(loop.samples, -1))  # sample j to sample j + 1
+    jumps = np.flatnonzero(np.abs(steps) >= MAX_GAP)
+    if jumps.size:
+        j = int(jumps[0])
+        raise ResolutionError(
+            f"projective jump {abs(steps[j]):.3f} >= pi/4 between samples "
+            f"{j} and {(j + 1) % loop.n} of {loop.n}; refine the grid"
+        )
+    return int(round(float(np.sum(steps)) / PI))
 
 
 def rotate_loop(loop: ProjectiveLoop, other: ProjectiveLoop) -> ProjectiveLoop:
     """Pointwise angle sum; winding numbers add under this composition."""
     if loop.n != other.n:
         raise ValueError("loops must share a grid")
-    return ProjectiveLoop(np.mod(loop.samples + other.samples, PI))
+    return ProjectiveLoop(loop.samples + other.samples)
 
 
 def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Angles of A(x) v(theta), one per point (x, theta) of xs and angles."""
-    return np.array([projective_action(evaluate(spec, x), ProjPoint(t)).angle
-                     for x, t in zip(xs.tolist(), angles.tolist())])
+    """Angles of A(x) v(t) in [0, pi), one per point (x, t) of xs and angles in [0, pi)."""
+    return _wrap(np.array([_pushed_angle(evaluate(spec, x), t)
+                           for x, t in zip(xs.tolist(), angles.tolist())]))
 
 
-def _action_loop(spec: CocycleSpec, v: ProjPoint, grid_n: int) -> ProjectiveLoop:
-    return ProjectiveLoop(_push(spec, np.arange(grid_n) / grid_n, np.full(grid_n, v.angle)))
+def _action_loop(spec: CocycleSpec, angle: float, grid_n: int) -> ProjectiveLoop:
+    return ProjectiveLoop(_push(spec, np.arange(grid_n) / grid_n, np.full(grid_n, angle)))
 
 
 def twist_degree(spec: CocycleSpec, grid_n: int = 4096, max_grid: int = 1 << 16) -> int:
@@ -117,8 +105,8 @@ def twist_degree(spec: CocycleSpec, grid_n: int = 4096, max_grid: int = 1 << 16)
     n = grid_n
     while True:
         try:
-            d1 = winding_number(_action_loop(spec, ProjPoint(0.0), n))
-            d2 = winding_number(_action_loop(spec, ProjPoint(0.5 * PI), n))
+            d1 = winding_number(_action_loop(spec, 0.0, n))
+            d2 = winding_number(_action_loop(spec, 0.5 * PI, n))
         except ResolutionError:
             if 2 * n > max_grid:
                 raise
@@ -208,11 +196,9 @@ def section_consistency_search(spec: CocycleSpec, m: ExpandingMap,
         init = stable_direction_loop(spec, m, grid_n, direction_steps)
     elif init.n != grid_n:
         raise ValueError("init loop grid does not match grid_n")
-    samples = init.samples
+    loop = init
     if seed is not None:
-        jitter = rng_from(seed).uniform(-0.3, 0.3, size=grid_n)
-        samples = np.mod(samples + jitter, PI)
-    loop = ProjectiveLoop(samples)
+        loop = ProjectiveLoop(init.samples + rng_from(seed).uniform(-0.3, 0.3, size=grid_n))
 
     xs = np.arange(grid_n) / grid_n / m.k  # inverse branch 0
     for _ in range(n_iterations):
@@ -230,7 +216,6 @@ def section_residual(spec: CocycleSpec, m: ExpandingMap, loop: ProjectiveLoop) -
         xs = (ys + d) / m.k
         new = _push(spec, xs, loop.value(xs))
         for c in cands:
-            gap = np.abs(new - c)
-            spread = np.maximum(spread, np.minimum(gap, PI - gap))
+            spread = np.maximum(spread, _dist(new, c))
         cands.append(new)
     return float(np.max(spread))

@@ -4,8 +4,11 @@ Mat2 is the validated det = 1 type for inputs and single evaluations:
 it renormalizes by sqrt(det) at construction.  Computed products are
 kept as raw entries (_mul) or as cocycle.ScaledMatrix, not as chains of
 Mat2: for a product of large matrices the determinant is cancellation
-noise.  Directions in RP^1 are angles modulo pi with the metric
-d(p, q) = min(|p - q|, pi - |p - q|).
+noise.  Directions in RP^1 are angles in [0, pi); each rule on them is
+written once, here, on floats or arrays: the wrap (_wrap), the signed
+shorter-arc step (_arc), the metric min(|p - q|, pi - |p - q|) (_dist) and
+the angle of M (cos t, sin t) (_pushed_angle, one float).  ProjPoint is the
+validated scalar type; projective loops carry plain float arrays.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NumericOverflowError
 
 DET_TOL = 1e-9
+PI = math.pi
 
 
 def _renorm(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -107,6 +113,29 @@ def op_norm(m: Mat2) -> float:
     return _s_max(m.a, m.b, m.c, m.d)
 
 
+def _wrap(t):
+    """t mod pi in [0, pi); floats or numpy arrays."""
+    w = t % PI
+    return w - PI * (w >= PI)  # tiny negative t % pi rounds up to pi; map that to 0
+
+
+def _arc(s, t):
+    """Signed step from s to t along the shorter projective arc, in [-pi/2, pi/2)."""
+    return (t - s + PI / 2.0) % PI - PI / 2.0
+
+
+def _dist(p, q):
+    """Projective metric min(|p - q|, pi - |p - q|); bounded by pi/2."""
+    d = abs(p - q)
+    return np.minimum(d, PI - d)
+
+
+def _pushed_angle(m: Mat2, t: float) -> float:
+    """atan2 of m (cos t, sin t), before wrapping."""
+    x, y = math.cos(t), math.sin(t)
+    return math.atan2(m.c * x + m.d * y, m.a * x + m.b * y)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A direction in RP^1, stored as an angle in [0, pi)."""
@@ -116,10 +145,7 @@ class ProjPoint:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError("non-finite angle")
-        a = self.angle % math.pi
-        if a >= math.pi:  # x % pi can round up to pi for tiny negative x
-            a = 0.0
-        object.__setattr__(self, "angle", a)
+        object.__setattr__(self, "angle", _wrap(self.angle))
 
     @staticmethod
     def from_vector(x: float, y: float) -> "ProjPoint":
@@ -134,14 +160,11 @@ class ProjPoint:
 
 def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
     """Projective metric; bounded by pi/2."""
-    d = abs(p.angle - q.angle)
-    return min(d, math.pi - d)
+    return float(_dist(p.angle, q.angle))
 
 
 def projective_action(m: Mat2, p: ProjPoint) -> ProjPoint:
-    x, y = p.vector()
-    wx, wy = m.apply(x, y)
-    return ProjPoint(math.atan2(wy, wx))
+    return ProjPoint(_pushed_angle(m, p.angle))
 
 
 def projective_derivative(m: Mat2, p: ProjPoint) -> float:

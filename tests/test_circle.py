@@ -356,6 +356,16 @@ def test_fixed_points_explicit():
     assert [o[0].x for o in orbits] == [Fraction(j, 7) for j in range(7)]
 
 
+def test_enumeration_cap_bounds_the_walk(monkeypatch):
+    # k = 2, P = 6 walks (2 - 1) + (4 - 1) + ... + (64 - 1) = 120 values of j,
+    # though the top level alone has only 63
+    monkeypatch.setattr(circle, "MAX_ENUMERATION", 100)
+    with pytest.raises(OverflowError, match="walk 120 values"):
+        periodic_points(ExpandingMap(2), 6)
+    monkeypatch.setattr(circle, "MAX_ENUMERATION", 120)
+    assert len(periodic_points(ExpandingMap(2), 6)) == 1 + 2 + 6 + 12 + 30 + 54
+
+
 def test_enumeration_cap():
     with pytest.raises(OverflowError):
         periodic_points(ExpandingMap(10), 8)

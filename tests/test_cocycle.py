@@ -238,7 +238,8 @@ def test_product_survives_depth_constant_cocycle():
     got = cocycle_product(constant_spec(), example_map(), 0.5, 50_000)
     # one rounding of ~eps per log-accumulation step
     assert got.op_norm_log() == pytest.approx(50_000 * math.log(2.0), rel=1e-11)
-    assert got.singular_gap() == math.inf  # s_min underflowed, as it should
+    # s_min underflowed, as it should: only an infinite gap meets min_gap = inf
+    assert proj_distance(got.stable_direction(math.inf), ProjPoint(math.pi / 2)) <= 1e-12
 
 
 def test_scaled_matrix_frobenius_normalization():
@@ -250,7 +251,11 @@ def test_scaled_matrix_frobenius_normalization():
 def test_contracted_direction_of_diagonal_product():
     # diag(2, 1/2)^n contracts e2 hardest; ProjPoint(pi/2) is that axis
     got = cocycle_product(constant_spec(), example_map(), 0.25, 30)
-    assert proj_distance(got.contracted_direction(), ProjPoint(math.pi / 2)) <= 1e-12
+    assert proj_distance(got.stable_direction(1e3), ProjPoint(math.pi / 2)) <= 1e-12
+    # one factor has s_max/s_min = 4, below the required gap
+    with pytest.raises(NoHyperbolicityError) as exc:
+        cocycle_product(constant_spec(), example_map(), 0.25, 1).stable_direction(1e3)
+    assert exc.value.gap == pytest.approx(4.0, rel=1e-12) and exc.value.required == 1e3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 255, 4095, 4096, 4097, 8193])

@@ -61,3 +61,34 @@ def test_every_private_top_level_name_has_a_caller():
             dead += [f"{name}:{node.lineno} {d}" for d in defined
                      if d.startswith("_") and not d.startswith("__") and d not in callers]
     assert not dead, f"private names nobody calls: {dead}"
+
+
+def _is_pi(node: ast.expr) -> bool:
+    """PI, or the attribute pi of any module (math.pi, np.pi)."""
+    return ((isinstance(node, ast.Name) and node.id == "PI")
+            or (isinstance(node, ast.Attribute) and node.attr == "pi"))
+
+
+def _angle_reductions(tree: ast.Module) -> list[int]:
+    """Lines that reduce mod pi: x % PI, x % math.pi, np.mod(x, PI) and the like."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and _is_pi(node.right):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("mod", "remainder", "fmod")
+              and len(node.args) == 2 and _is_pi(node.args[1])):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "sl2.py"])
+def test_only_sl2_reduces_angles_mod_pi(name):
+    # the wrap into [0, pi) and the shorter-arc step are written once, in sl2
+    lines = _angle_reductions(MODULES[name])
+    assert not lines, f"{name}: angle reduced mod pi at lines {lines}; use sl2._wrap or sl2._arc"
+
+
+def test_sl2_reduction_check_sees_the_wrap():
+    # the check must find the one wrap it allows, or it checks nothing
+    assert _angle_reductions(MODULES["sl2.py"])

@@ -27,6 +27,7 @@ from cocyclelab import (
     twist_degree,
     winding_number,
 )
+from cocyclelab.sections import _push
 
 PI = math.pi
 
@@ -130,6 +131,43 @@ def test_winding_of_synthetic_loops(degree):
         assert unwrap_degree(loop) == degree
 
 
+def winding_by_sequential_lift(loop: ProjectiveLoop) -> int:
+    """Lift sample to sample in Python floats; raise on a jump of pi/4 or more."""
+    s = loop.samples
+    lift = float(s[0])
+    for j in range(1, loop.n + 1):
+        target = float(s[j % loop.n])
+        step = (target - lift + PI / 2.0) % PI - PI / 2.0
+        if abs(step) >= PI / 4.0:
+            raise ResolutionError(
+                f"projective jump {abs(step):.3f} >= pi/4 between samples "
+                f"{j - 1} and {j % loop.n} of {loop.n}; refine the grid"
+            )
+        lift += step
+    return int(round((lift - float(s[0])) / PI))
+
+
+@pytest.mark.parametrize("degree", range(-3, 4))
+def test_winding_matches_sequential_lift(degree):
+    for seed in range(6):
+        loop = smooth_loop(degree, n=128, wobble=0.8, seed=seed)
+        assert winding_number(loop) == winding_by_sequential_lift(loop) == degree
+
+
+@pytest.mark.parametrize("at", [0, 17, 127])
+def test_winding_names_the_first_jump_as_the_lift_does(at):
+    # a ramp of pi/3 over samples at + 1, ..., at + 128 (indices mod 128) moves
+    # each pair by pi/384 except (at, at + 1), which jumps back by pi/3
+    ramp = PI / 3 * (np.arange(-at - 1, 127 - at) % 128) / 127
+    loop = ProjectiveLoop(smooth_loop(2, n=128, seed=at).samples - ramp)
+    with pytest.raises(ResolutionError) as want:
+        winding_by_sequential_lift(loop)
+    with pytest.raises(ResolutionError) as got:
+        winding_number(loop)
+    assert str(got.value) == str(want.value)
+    assert f"between samples {at} and {(at + 1) % 128} of 128" in str(got.value)
+
+
 def test_winding_needs_resolution():
     coarse = ProjectiveLoop(np.mod(5 * PI * np.arange(8) / 8, PI))
     with pytest.raises(ResolutionError):
@@ -144,6 +182,31 @@ def test_rotate_loop_adds_windings():
 
 
 # -- degree of the twist ----------------------------------------------------------
+
+def pushed_by_floats(m: Mat2, t: float) -> float:
+    """The angle of m (cos t, sin t) mod pi, written out in Python floats."""
+    x, y = math.cos(t), math.sin(t)
+    a = math.atan2(m.c * x + m.d * y, m.a * x + m.b * y) % PI
+    return 0.0 if a >= PI else a
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["example", "perturbed"])
+def test_push_matches_projective_action_bitwise(k, perturbed):
+    """_push on float angles against the ProjPoint/projective_action path per point."""
+    spec = perturb(example_spec(), 0.05, seed=(9, k)) if perturbed else example_spec()
+    assert len(spec.terms) == (8 if perturbed else 0)
+    rng = np.random.default_rng([17, k])
+    n = 256
+    xs = (np.arange(n) / n + rng.integers(0, k, size=n)) / k  # inverse branches of a grid
+    angles = np.concatenate([[0.0, PI - 1e-12], rng.uniform(0.0, PI, size=n - 2)])
+    got = _push(spec, xs, angles)
+    assert np.all((0.0 <= got) & (got < PI))
+    points = list(zip(xs.tolist(), angles.tolist()))
+    by_action = [projective_action(evaluate(spec, x), ProjPoint(t)).angle for x, t in points]
+    for want in (by_action, [pushed_by_floats(evaluate(spec, x), t) for x, t in points]):
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
 
 def test_twist_degree_of_example_is_two():
     # one full rotation per circle turn is two half-turns in RP^1; the

@@ -158,6 +158,7 @@ def test_projpoint_normalization():
     assert ProjPoint(math.pi).angle == 0.0
     assert ProjPoint(-0.1).angle == pytest.approx(math.pi - 0.1)
     assert ProjPoint(3 * math.pi + 0.25).angle == pytest.approx(0.25)
+    assert ProjPoint(-1e-20).angle == 0.0  # -1e-20 % pi rounds up to pi
     with pytest.raises(ValueError):
         ProjPoint(math.nan)
     with pytest.raises(ValueError):
