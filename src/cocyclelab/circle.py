@@ -20,7 +20,7 @@ MAX_ENUMERATION = 10_000_000
 MAX_STREAM_K = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpandingMap:
     """x -> k x mod 1 on the circle, k >= 2."""
 
@@ -67,7 +67,7 @@ def inverse_branch(m: ExpandingMap, y: float, digit: int) -> float:
     return _preimage(m.k, y, digit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackwardItinerary:
     """Anchor x0 plus inverse-branch digits; a natural-extension point.
 
@@ -202,7 +202,7 @@ def orbit_from_digits(k: int, digits, n: int) -> np.ndarray:
 # -- periodic points ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicPoint:
     """x = j/(k^n - 1) with minimal period n, held exactly."""
 

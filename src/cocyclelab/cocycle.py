@@ -60,7 +60,7 @@ def rng_from(*keys) -> np.random.Generator:
     return np.random.default_rng(flat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistTerm:
     """One trigonometric term amp * sin(2 pi freq x + phase)."""
 
@@ -75,7 +75,7 @@ class TwistTerm:
             raise ValueError("non-finite twist coefficients")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CocycleSpec:
     """A(x) = base . R(2 pi g(x)), g(x) = winding*x + sum of twist terms.
 
@@ -195,7 +195,7 @@ def _entries(spec: CocycleSpec, xs: np.ndarray):
 # -- scaled products ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledMatrix:
     """A matrix product held as exp(log_scale) * M with |M|_F = sqrt(2).
 
@@ -313,7 +313,7 @@ def _product_along(spec: CocycleSpec, xs) -> ScaledMatrix:
 # -- Lyapunov estimators ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LyapunovEstimate:
     value: float
     std_error: float

@@ -38,7 +38,7 @@ from .errors import HolonomyDivergedError, LeafMismatchError, NumericOverflowErr
 from .sl2 import Mat2, _mul, _s_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HolonomyResult:
     """Outcome of a u-holonomy limit.
 

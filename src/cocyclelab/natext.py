@@ -54,7 +54,7 @@ def _plateau_slope_bound() -> float:
     return float(np.max(slope)) * 1.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatExtRealization:
     """The data of one realized extension; build with build_realization."""
 

@@ -24,7 +24,7 @@ from .sl2 import PI, _arc, _dist, _pushed_angle, _wrap
 MAX_GAP = PI / 4.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class ProjectiveLoop:
     """Directions sampled at j/N, j = 0..N-1, as angles in [0, pi).
 
@@ -117,7 +117,7 @@ def twist_degree(spec: CocycleSpec, grid_n: int = 4096, max_grid: int = 1 << 16)
         return d1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionReport:
     """Solvability of the degree equations for invariant sections.
 

@@ -1,19 +1,25 @@
 """Exact-ish SL(2,R) arithmetic and the induced projective circle action.
 
 Mat2 is the validated det = 1 type for inputs and single evaluations:
-it renormalizes by sqrt(det) at construction.  Computed products are
-kept as raw entries (_mul) or as cocycle.ScaledMatrix, not as chains of
-Mat2: for a product of large matrices the determinant is cancellation
-noise.  Directions in RP^1 are angles in [0, pi); each rule on them is
-written once, here, on floats or arrays: the wrap (_wrap), the signed
-shorter-arc step (_arc), the metric min(|p - q|, pi - |p - q|) (_dist) and
-the angle of M (cos t, sin t) (_pushed_angle, one float).  ProjPoint is the
-validated scalar type; projective loops carry plain float arrays.
+it renormalizes by sqrt(det) at construction.  A valid Mat2 costs one
+determinant: within DET_TOL of 1 the entries are kept as given.  Only the
+rest are checked for finiteness and renormalized, after an exact
+power-of-two scale when det over- or underflows.  Value types,
+here and across the package, are slotted frozen dataclasses, with no
+per-instance __dict__.  Computed products are kept as raw entries (_mul)
+or as cocycle.ScaledMatrix, not as chains of Mat2: for a product of
+large matrices the determinant is cancellation noise.  Directions in
+RP^1 are angles in [0, pi); each rule on them is written once, here, on
+floats or arrays: the wrap (_wrap), the signed shorter-arc step (_arc),
+the metric min(|p - q|, pi - |p - q|) (_dist) and the angle of
+M (cos t, sin t) (_pushed_angle, one float).  ProjPoint is the validated
+scalar type; projective loops carry plain float arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,12 @@ def _renorm(a: float, b: float, c: float, d: float) -> tuple[float, float, float
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise NumericOverflowError("non-finite matrix entries; use scaled products for long chains")
     det = a * d - b * c
+    if not sys.float_info.min <= abs(det) < math.inf:
+        # det over- or underflowed: scale by the power of two that brings the
+        # largest entry into [0.5, 1), which is exact, and decide on that
+        e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+        a, b, c, d = (math.ldexp(v, -e) for v in (a, b, c, d))
+        det = a * d - b * c
     if not det > 0.0:
         raise ValueError(f"determinant {det} not positive; not in SL(2,R) up to scale")
     if abs(det - 1.0) <= DET_TOL:
@@ -36,7 +48,7 @@ def _renorm(a: float, b: float, c: float, d: float) -> tuple[float, float, float
     return a * s, b * s, c * s, d * s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """A 2x2 real matrix with det = 1, renormalized on construction."""
 
@@ -46,6 +58,9 @@ class Mat2:
     d: float
 
     def __post_init__(self):
+        # one determinant decides a valid matrix: a non-finite entry makes it inf or nan
+        if abs(self.a * self.d - self.b * self.c - 1.0) <= DET_TOL:
+            return
         a, b, c, d = _renorm(self.a, self.b, self.c, self.d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -136,7 +151,7 @@ def _pushed_angle(m: Mat2, t: float) -> float:
     return math.atan2(m.c * x + m.d * y, m.a * x + m.b * y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjPoint:
     """A direction in RP^1, stored as an angle in [0, pi)."""
 
@@ -178,7 +193,7 @@ def projective_derivative(m: Mat2, p: ProjPoint) -> float:
     return 1.0 / (wx * wx + wy * wy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SvdPair:
     """Singular data of a Mat2: s_max >= 1 >= s_min > 0 with s_max*s_min = 1,
     u_dir the left (image) direction of s_max, v_dir the right one."""

@@ -92,3 +92,34 @@ def test_only_sl2_reduces_angles_mod_pi(name):
 def test_sl2_reduction_check_sees_the_wrap():
     # the check must find the one wrap it allows, or it checks nothing
     assert _angle_reductions(MODULES["sl2.py"])
+
+
+def _keyword_is_true(call: ast.Call, name: str) -> bool:
+    return any(k.arg == name and isinstance(k.value, ast.Constant) and k.value.value is True
+               for k in call.keywords)
+
+
+def _frozen_dataclasses(tree: ast.Module) -> dict[str, bool]:
+    """Classes decorated @dataclass(frozen=True, ...), mapped to whether slots=True."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            if (isinstance(dec, ast.Call)
+                    and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "dataclass"
+                    and _keyword_is_true(dec, "frozen")):
+                found[node.name] = _keyword_is_true(dec, "slots")
+    return found
+
+
+def test_every_frozen_dataclass_is_slotted():
+    # value types are built per point; a per-instance __dict__ costs time and memory there
+    unslotted = [f"{name}:{cls}" for name, tree in MODULES.items()
+                 for cls, slotted in _frozen_dataclasses(tree).items() if not slotted]
+    assert not unslotted, f"frozen dataclasses without slots=True: {unslotted}"
+
+
+def test_slots_check_sees_the_value_types():
+    # the check must find the frozen dataclasses, or it checks nothing
+    assert {"Mat2", "ProjPoint"} <= set(_frozen_dataclasses(MODULES["sl2.py"]))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _util import as_array, mat_gap, random_sl2
@@ -20,7 +20,7 @@ from cocyclelab import (
     projective_derivative,
     svd2,
 )
-from cocyclelab.sl2 import _s_max, _svd_raw
+from cocyclelab.sl2 import DET_TOL, _s_max, _svd_raw
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -68,6 +68,102 @@ def test_det_renormalized_to_one():
     m = Mat2(3.0, 0.0, 0.0, 3.0)
     assert m.a == pytest.approx(1.0, rel=1e-15)
     assert m.det() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**1000, 2.0**-1000])
+def test_det_out_of_float_range_is_rescaled(scale):
+    # det = scale^2 overflows to inf or underflows to 0; the matrix is
+    # still scale * identity, which is in SL(2,R) up to scale
+    assert Mat2(scale, 0.0, 0.0, scale).to_rows() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_det_out_of_float_range_keeps_shape_and_sign():
+    m = Mat2(1e300, 0.0, 0.0, 1e100)  # det 1e400 overflows
+    assert m.a == pytest.approx(1e100, rel=1e-15)
+    assert m.d == pytest.approx(1e-100, rel=1e-15)
+    assert m.b == m.c == 0.0
+    with pytest.raises(ValueError, match="not positive"):
+        Mat2(1e200, 1e200, 1e200, -1e200)  # det -inf: still orientation-reversing
+    with pytest.raises(ValueError, match="not positive"):
+        Mat2(1.0, 1.0, 1.0, 1.0)  # det 0 is singular at any scale
+    with pytest.raises(ValueError, match="not positive"):
+        Mat2(1e-200, 1e-200, 1e-200, 1e-200)
+    with pytest.raises(ValueError, match="not positive"):
+        Mat2(0.0, 0.0, 0.0, 0.0)
+
+
+def _construct_before_fast_path(a, b, c, d):
+    """Mat2 construction as it was before the one-determinant check:
+    finiteness, then det > 0, then renormalize, then set all four entries."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise NumericOverflowError("non-finite matrix entries; use scaled products for long chains")
+    det = a * d - b * c
+    if not det > 0.0:
+        raise ValueError(f"determinant {det} not positive; not in SL(2,R) up to scale")
+    if abs(det - 1.0) <= DET_TOL:
+        return a, b, c, d
+    s = 1.0 / math.sqrt(det)
+    return a * s, b * s, c * s, d * s
+
+
+def _outcome(build, entries):
+    """Entries as (type, hex bits), or the exception's type and message."""
+    try:
+        m = build(*entries)
+    except (ValueError, NumericOverflowError) as e:
+        return type(e), str(e)
+    values = (m.a, m.b, m.c, m.d) if isinstance(m, Mat2) else m
+    return [(type(v), float(v).hex()) for v in values]
+
+
+_EPS = DET_TOL / 4.0
+_NONFINITE = [
+    tuple(bad if i == j else (1.0, 0.0, 0.0, 1.0)[j] for j in range(4))
+    for bad in (math.nan, math.inf, -math.inf) for i in range(4)
+]
+FAST_PATH_CASES = [
+    (1.0, 0.0, 0.0, 1.0),  # det exactly 1
+    (2.0, 3.0, 1.0, 2.0),
+    (2.0, 0.0, 0.0, 0.5),
+    (math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3)),
+    (1.0 + _EPS, 0.0, 0.0, 1.0),  # within DET_TOL
+    (1.0 - _EPS, 0.0, 0.0, 1.0),
+    (2.0, 3.0, 1.0 - _EPS, 2.0),
+    (1.0 + DET_TOL, 0.0, 0.0, 1.0),  # at the edge of DET_TOL
+    (1.0 + 4.0 * DET_TOL, 0.0, 0.0, 1.0),  # just outside: rescaled
+    (1.0 - 4.0 * DET_TOL, 0.0, 0.0, 1.0),
+    (3.0, 0.0, 0.0, 3.0),
+    (2.0, 1.0, 1.0, 2.0),
+    (1.0, 2.0, 2.0, 4.0),  # det 0
+    (1.0, 0.0, 0.0, -0.0),  # det -0
+    (-1.0, 0.0, 0.0, 1.0),  # det < 0
+    (0.0, 1.0, 1.0, 0.0),
+    (1.0, 0.0, 0.0, -1e-300),
+    *_NONFINITE,
+    (1, 0, 0, 1),  # integers stay as given
+    (2, 1, 1, 1),
+    (1, 5, 0, 1),
+    (2, 0, 0, 1),  # integer det 2: renormalized to floats
+    (-1, 0, 0, -1),
+]
+
+
+@pytest.mark.parametrize("entries", FAST_PATH_CASES, ids=repr)
+def test_fast_path_matches_construction_before_it(entries):
+    assert _outcome(Mat2, entries) == _outcome(_construct_before_fast_path, entries)
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=4),
+       st.integers(min_value=-12, max_value=0))
+@settings(max_examples=300, deadline=None)
+def test_fast_path_matches_construction_before_it_near_det_one(entries, log_off):
+    # scale a random matrix to det 1, then move det off 1 by about 10^log_off
+    a, b, c, d = entries
+    det = a * d - b * c
+    assume(1e-6 < abs(det) < 1e12)
+    s = (1.0 + 10.0**log_off) / math.sqrt(abs(det))
+    scaled = (a * s, b * s, c * s, d * s)
+    assert _outcome(Mat2, scaled) == _outcome(_construct_before_fast_path, scaled)
 
 
 @given(seeds)
