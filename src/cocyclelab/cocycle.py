@@ -15,7 +15,7 @@ sample the wrong invariant measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +69,8 @@ class TwistTerm:
     phase: float
 
     def __post_init__(self):
-        if not (isinstance(self.freq, int) and self.freq >= 1):
+        object.__setattr__(self, "freq", _integral("frequency", self.freq))
+        if self.freq < 1:
             raise ValueError(f"frequency must be a positive integer, got {self.freq!r}")
         if not (math.isfinite(self.amp) and math.isfinite(self.phase)):
             raise ValueError("non-finite twist coefficients")
@@ -88,18 +89,26 @@ class CocycleSpec:
     winding: int = 0
     terms: tuple[TwistTerm, ...] = ()
     theta: float = 1.0
+    # the terms sorted by frequency as (frequency step, amp cos phase, amp sin phase),
+    # which _trig_sum reads; derived in __post_init__, so replace() rebuilds it
+    _plan: tuple[tuple[int, float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.winding, int):
-            raise ValueError("winding must be an integer")
+        object.__setattr__(self, "winding", _integral("winding", self.winding))
         object.__setattr__(self, "terms", tuple(self.terms))
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"Holder exponent theta must be in (0, 1], got {self.theta}")
+        plan, f = [], 0
+        for t in sorted(self.terms, key=lambda t: t.freq):
+            plan.append((t.freq - f, t.amp * math.cos(t.phase), t.amp * math.sin(t.phase)))
+            f = t.freq
+        object.__setattr__(self, "_plan", tuple(plan))
 
     def twist(self, x: float) -> float:
         g = self.winding * x
-        for t in self.terms:
-            g += t.amp * math.sin(TWO_PI * t.freq * x + t.phase)
+        if self._plan:
+            a = TWO_PI * x
+            g = g + _trig_sum(self._plan, math.cos(a), math.sin(a))
         return g
 
     def twist_gap(self, x: float, delta: float) -> float:
@@ -125,6 +134,36 @@ class CocycleSpec:
     def lipschitz(self) -> float:
         """A Lipschitz constant for x -> A(x) in operator norm."""
         return self.sup_norm() * TWO_PI * self.twist_lipschitz()
+
+
+def _cis_power(c, s, n: int):
+    """(cos, sin)(n t) from (c, s) = (cos, sin)(t) for n >= 1, by binary powering."""
+    pc = ps = None
+    while True:
+        if n & 1:
+            pc, ps = (c, s) if pc is None else (pc * c - ps * s, pc * s + ps * c)
+        n >>= 1
+        if not n:
+            return pc, ps
+        c, s = c * c - s * s, 2.0 * c * s
+
+
+def _trig_sum(plan, c, s):
+    """sum of amp sin(2 pi f x + phase) over a plan, from (c, s) = (cos, sin)(2 pi x).
+
+    Each term is amp cos(phase) sin(2 pi f x) + amp sin(phase) cos(2 pi f x).
+    (cos, sin)(2 pi f x) advances from term to term by complex products on
+    real pairs, so one sine and cosine per point serve every term.  c and s
+    may be floats or arrays: every operation is elementwise and unfused, so
+    an array element gets the bits of the float call.
+    """
+    total, fc, fs = 0.0, 1.0, 0.0
+    for step, ac, as_ in plan:
+        if step:
+            pc, ps = (c, s) if step == 1 else _cis_power(c, s, step)
+            fc, fs = fc * pc - fs * ps, fc * ps + fs * pc
+        total = total + (ac * fs + as_ * fc)
+    return total
 
 
 def full_twist_spec(base: Mat2, theta: float = 1.0) -> CocycleSpec:
@@ -154,13 +193,12 @@ def spec_from_json(data: dict) -> CocycleSpec:
     try:
         base = Mat2.from_rows(data["base"])
         terms = tuple(
-            TwistTerm(_integral("freq", t["freq"]), float(t["amp"]),
-                      float(t.get("phase", 0.0)))
+            TwistTerm(t["freq"], float(t["amp"]), float(t.get("phase", 0.0)))
             for t in data.get("twist", [])
         )
         return CocycleSpec(
             base=base,
-            winding=_integral("winding", data.get("winding", 0)),
+            winding=data.get("winding", 0),
             terms=terms,
             theta=float(data.get("theta", 1.0)),
         )
@@ -177,10 +215,11 @@ def evaluate(spec: CocycleSpec, x: float) -> Mat2:
 
 
 def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
-    """TWO_PI * g(x) over an array, term for term as CocycleSpec.twist."""
+    """TWO_PI * g(x) over an array, by CocycleSpec.twist's expression and bits."""
     g = spec.winding * xs
-    for t in spec.terms:
-        g += t.amp * np.sin(TWO_PI * t.freq * xs + t.phase)
+    if spec._plan:
+        a = TWO_PI * xs
+        g = g + _trig_sum(spec._plan, np.cos(a), np.sin(a))
     return TWO_PI * g
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,14 +96,30 @@ def test_rng_rejects_bad_paths():
 def test_twist_term_validation():
     with pytest.raises(ValueError):
         TwistTerm(0, 1.0, 0.0)
+    for bad in (True, np.True_, 1.5, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TwistTerm(bad, 1.0, 0.0)
     with pytest.raises(ValueError):
         TwistTerm(-2, 1.0, 0.0)
     with pytest.raises(ValueError):
         TwistTerm(1, math.inf, 0.0)
+    for bad in (True, False, np.True_, 1.5, "1"):
+        with pytest.raises(ValueError, match="winding must be an integer"):
+            CocycleSpec(base=BASE, winding=bad)
     with pytest.raises(ValueError):
         CocycleSpec(base=BASE, winding=1, theta=0.0)
     with pytest.raises(ValueError):
         CocycleSpec(base=BASE, winding=1, theta=1.5)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), 3.0])
+def test_integral_frequency_and_winding_are_stored_as_int(value):
+    term = TwistTerm(value, 0.1, 0.0)
+    spec = CocycleSpec(base=BASE, winding=value, terms=(term,))
+    assert type(term.freq) is int and type(spec.winding) is int
+    assert spec == CocycleSpec(base=BASE, winding=3, terms=(TwistTerm(3, 0.1, 0.0),))
+    data = spec_to_json(spec)
+    assert json.dumps(data["winding"]) == "3" and json.dumps(data["twist"][0]["freq"]) == "3"
 
 
 def test_evaluate_at_zero_is_base():
@@ -148,6 +165,91 @@ def test_angles_match_scalar_twist_bitwise():
                          np.random.default_rng(11).random(2000)])
     expected = np.array([TWO_PI * spec.twist(float(x)) for x in xs])
     assert np.array_equal(_angles(spec, xs), expected)
+
+
+def per_term_twist(spec: CocycleSpec, x: float) -> float:
+    """g(x) one sine per term, in the order the terms are given."""
+    g = spec.winding * x
+    for t in spec.terms:
+        g += t.amp * math.sin(TWO_PI * t.freq * x + t.phase)
+    return g
+
+
+TRIG_SPECS = {
+    "unsorted": CocycleSpec(base=BASE, winding=1, terms=(
+        TwistTerm(5, 0.2, 0.4), TwistTerm(2, -0.3, 1.7), TwistTerm(9, 0.05, 5.9),
+        TwistTerm(1, 0.1, 0.0))),
+    "shared-frequency": CocycleSpec(base=BASE, winding=-2, terms=(
+        TwistTerm(3, 0.25, 0.1), TwistTerm(3, -0.4, 2.2), TwistTerm(1, 0.3, 4.0),
+        TwistTerm(3, 0.1, 6.0))),
+    "sparse": CocycleSpec(base=BASE, winding=0, terms=(
+        TwistTerm(7, 0.5, 0.3), TwistTerm(64, -0.02, 1.0), TwistTerm(513, 0.001, 2.5))),
+    "freq-3000": CocycleSpec(base=BASE, winding=3, terms=(TwistTerm(3000, 1e-4, 0.9),)),
+    "perturbed": twisted_spec(),
+}
+
+
+def twist_scale(spec: CocycleSpec) -> float:
+    return abs(spec.winding) + sum(abs(t.amp) * t.freq for t in spec.terms)
+
+
+def trig_points(seed: int) -> np.ndarray:
+    return np.concatenate([[0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)],
+                           np.random.default_rng(seed).random(1000)])
+
+
+@pytest.mark.parametrize("name", sorted(TRIG_SPECS))
+def test_angles_match_scalar_twist_bitwise_on_every_shape(name):
+    spec = TRIG_SPECS[name]
+    xs = trig_points(14)
+    expected = np.array([TWO_PI * spec.twist(float(x)) for x in xs])
+    assert np.array_equal(_angles(spec, xs), expected)
+    # a 2-D block gives each row the bits of the 1-D call
+    block = xs[:1000].reshape(4, 250)
+    assert np.array_equal(_angles(spec, block), expected[:1000].reshape(4, 250))
+
+
+@pytest.mark.parametrize("name", sorted(TRIG_SPECS))
+def test_twist_matches_per_term_sines(name):
+    """The recurrence agrees with one sine per term to a few ulps of the
+    largest term magnitudes it sums."""
+    spec = TRIG_SPECS[name]
+    tol = 1e-14 * twist_scale(spec)
+    worst = max(abs(spec.twist(x) - per_term_twist(spec, x)) for x in map(float, trig_points(15)))
+    assert worst <= tol
+
+
+terms_st = st.lists(
+    st.builds(TwistTerm,
+              freq=st.one_of(st.integers(1, 12), st.integers(13, 3000)),
+              amp=st.floats(-1.0, 1.0),
+              phase=st.floats(0.0, TWO_PI)),
+    min_size=1, max_size=6)
+
+
+@given(terms=terms_st, winding=st.integers(-3, 3),
+       xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_trig_sum_scalar_and_array_agree(terms, winding, xs):
+    spec = CocycleSpec(base=BASE, winding=winding, terms=tuple(terms))
+    arr = np.array(xs)
+    scalar = [spec.twist(x) for x in xs]
+    assert np.array_equal(_angles(spec, arr), TWO_PI * np.array(scalar))
+    tol = 1e-14 * twist_scale(spec)
+    assert all(abs(g - per_term_twist(spec, x)) <= tol for g, x in zip(scalar, xs))
+
+
+def test_replace_rebuilds_the_term_plan():
+    spec = TRIG_SPECS["unsorted"]
+    fewer = replace(spec, terms=spec.terms[:2])
+    assert fewer.twist(0.3) == pytest.approx(per_term_twist(fewer, 0.3),
+                                             abs=1e-14 * twist_scale(fewer))
+    assert replace(fewer, terms=()).twist(0.3) == spec.winding * 0.3
+    assert replace(fewer, terms=spec.terms).twist(0.3) == spec.twist(0.3)
+    # the plan is derived: it takes no part in equality, hashing or repr
+    stale = replace(spec)
+    object.__setattr__(stale, "_plan", ())
+    assert stale == spec and hash(stale) == hash(spec) and repr(stale) == repr(spec)
 
 
 @pytest.mark.parametrize("spec", [example_spec(), twisted_spec()], ids=["example", "perturbed"])

@@ -123,3 +123,47 @@ def test_every_frozen_dataclass_is_slotted():
 def test_slots_check_sees_the_value_types():
     # the check must find the frozen dataclasses, or it checks nothing
     assert {"Mat2", "ProjPoint"} <= set(_frozen_dataclasses(MODULES["sl2.py"]))
+
+
+def _per_term_trig(tree: ast.AST) -> list[str]:
+    """Functions, by qualified name, that call sin or cos on an argument reading .freq."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sin", "cos")
+              and any(isinstance(n, ast.Attribute) and n.attr == "freq"
+                      for arg in node.args for n in ast.walk(arg))):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+# holonomy's g(x + delta) - g(x) needs its relative accuracy in delta, term by term
+PER_TERM_TRIG_ALLOWED = {("cocycle.py", "CocycleSpec.twist_gap")}
+
+
+def test_twist_terms_share_one_sine_and_cosine_per_point():
+    # one (cos, sin)(2 pi x) per point feeds every term through cocycle._trig_sum
+    per_term = [f"{name}:{scope}" for name, tree in MODULES.items()
+                for scope in _per_term_trig(tree) if (name, scope) not in PER_TERM_TRIG_ALLOWED]
+    assert not per_term, f"sin or cos of a term frequency, once per term: {per_term}"
+
+
+def test_per_term_trig_check_sees_a_sine_per_term():
+    # the check must flag the one-sine-per-term _angles that _trig_sum replaced,
+    # and find the twist_gap it allows, or it checks nothing
+    per_term_angles = (
+        "def _angles(spec, xs):\n"
+        "    g = spec.winding * xs\n"
+        "    for t in spec.terms:\n"
+        "        g += t.amp * np.sin(TWO_PI * t.freq * xs + t.phase)\n"
+        "    return TWO_PI * g\n"
+    )
+    assert _per_term_trig(ast.parse(per_term_angles)) == ["_angles"]
+    assert "CocycleSpec.twist_gap" in _per_term_trig(MODULES["cocycle.py"])

@@ -1,6 +1,7 @@
 """Smooth skew-product model of the inverse limit: charts, embedding, conjugacy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cocyclelab import (
     separation_certificate,
     truncation_gap,
 )
+from cocyclelab.natext import _plateau, _plateau_slope_bound
 
 FROZEN_DELTA = {2: 1.4084130770586694, 8: 1.3910116211153922}
 
@@ -92,6 +94,25 @@ def test_separation_certificate_is_a_lower_bound(k, real2, real8):
             np.sqrt(np.sum((hx - hy) ** 2, axis=1)))))
     assert cert <= observed
     assert cert >= 0.9 * observed  # and it is not drastically pessimistic
+
+
+def one_shot_slope_bound() -> float:
+    """The plateau slope bound over the whole grid at once."""
+    t = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
+    slope = np.abs(np.diff(_plateau(t))) / (t[1] - t[0])
+    return float(np.max(slope)) * 1.05
+
+
+def test_plateau_slope_bound_is_the_one_shot_bound_in_little_memory():
+    _plateau_slope_bound.cache_clear()
+    tracemalloc.start()
+    try:
+        bound = _plateau_slope_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound.hex() == one_shot_slope_bound().hex()
+    assert peak <= 2_000_000
 
 
 # -- the skew product -------------------------------------------------------------
