@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import _integral
+
 MAX_ENUMERATION = 10_000_000
 # the largest k whose digit windows fit int64 (window_width)
 MAX_STREAM_K = 512
@@ -27,7 +29,8 @@ class ExpandingMap:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
+        object.__setattr__(self, "k", _integral("degree k", self.k))
+        if self.k < 2:
             raise ValueError(f"degree k must be an integer >= 2, got {self.k!r}")
 
     @property
@@ -80,11 +83,12 @@ class BackwardItinerary:
     digits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integral("degree k", self.k))
         if self.k < 2:
             raise ValueError("degree k must be >= 2")
         if not 0.0 <= self.x0 < 1.0:
             raise ValueError(f"anchor {self.x0} outside [0, 1)")
-        digits = tuple(int(d) for d in self.digits)
+        digits = tuple(_integral("branch digit", d) for d in self.digits)
         for d in digits:
             if not 0 <= d < self.k:
                 raise ValueError(f"branch digit {d} outside 0..{self.k - 1}")
@@ -111,7 +115,7 @@ class BackwardItinerary:
 
 
 def extend_itinerary(it: BackwardItinerary, extra_digits) -> BackwardItinerary:
-    return BackwardItinerary(it.k, it.x0, it.digits + tuple(int(d) for d in extra_digits))
+    return BackwardItinerary(it.k, it.x0, it.digits + tuple(extra_digits))
 
 
 def truncate_itinerary(it: BackwardItinerary, depth: int) -> BackwardItinerary:

@@ -197,8 +197,9 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, CocycleSpec, Expandi
             spec = full_twist_spec(Mat2.diagonal(2.0))
         else:
             spec = spec_from_json(spec_data)
-            (a, b), (c, d) = (map(float, row) for row in spec_data["base"])
-            det = a * d - b * c
+            # finite reals, as spec_from_json checked; 1.0 * keeps int rows in float arithmetic
+            (a, b), (c, d) = spec_data["base"]
+            det = 1.0 * a * d - 1.0 * b * c
             if abs(det - 1.0) > DET_TOL:
                 print(f"warning: spec base has determinant {det:g}; rescaled to 1",
                       file=sys.stderr)

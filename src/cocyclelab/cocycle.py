@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circle import ExpandingMap, _orbit, orbit_from_digits, window_width
-from .errors import NoHyperbolicityError, NumericOverflowError
+from .errors import NoHyperbolicityError, NumericOverflowError, _integral, _real
 from .sl2 import Mat2, ProjPoint, _mul, _s_max, _svd_raw, op_norm
 
 TWO_PI = 2.0 * math.pi
@@ -72,8 +72,8 @@ class TwistTerm:
         object.__setattr__(self, "freq", _integral("frequency", self.freq))
         if self.freq < 1:
             raise ValueError(f"frequency must be a positive integer, got {self.freq!r}")
-        if not (math.isfinite(self.amp) and math.isfinite(self.phase)):
-            raise ValueError("non-finite twist coefficients")
+        object.__setattr__(self, "amp", _real("amp", self.amp))
+        object.__setattr__(self, "phase", _real("phase", self.phase))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +96,7 @@ class CocycleSpec:
     def __post_init__(self):
         object.__setattr__(self, "winding", _integral("winding", self.winding))
         object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "theta", _real("theta", self.theta))
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"Holder exponent theta must be in (0, 1], got {self.theta}")
         plan, f = [], 0
@@ -180,27 +181,18 @@ def spec_to_json(spec: CocycleSpec) -> dict:
     }
 
 
-def _integral(name: str, v) -> int:
-    """v as an int if it is an integral number; never truncates."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def spec_from_json(data: dict) -> CocycleSpec:
     try:
         base = Mat2.from_rows(data["base"])
         terms = tuple(
-            TwistTerm(t["freq"], float(t["amp"]), float(t.get("phase", 0.0)))
+            TwistTerm(t["freq"], t["amp"], t.get("phase", 0.0))
             for t in data.get("twist", [])
         )
         return CocycleSpec(
             base=base,
             winding=data.get("winding", 0),
             terms=terms,
-            theta=float(data.get("theta", 1.0)),
+            theta=data.get("theta", 1.0),
         )
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed cocycle description: {e}") from e
@@ -544,12 +536,11 @@ def u_bunching_check(spec: CocycleSpec, m: ExpandingMap, theta: float | None = N
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     grid_norm = 0.0
-    grid_cond = 0.0
     for j in range(grid_n):
-        a = evaluate(spec, j / grid_n)
-        s = op_norm(a)
-        grid_norm = max(grid_norm, s)
-        grid_cond = max(grid_cond, s * s)  # |A^-1| = |A| in SL(2)
+        grid_norm = max(grid_norm, op_norm(evaluate(spec, j / grid_n)))
+    # |A^-1| = |A| in SL(2); rounding is monotone, so squaring the largest
+    # norm gives the largest square
+    grid_cond = grid_norm * grid_norm
     la = spec.lipschitz()
     sup_norm = grid_norm + la * 0.5 / grid_n
     l_cond = 2.0 * sup_norm * la

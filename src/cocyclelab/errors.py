@@ -2,8 +2,37 @@
 
 Plain ValueError is reserved for malformed arguments (bad ranges, wrong
 shapes).  The classes below mark conditions that are legitimate outcomes
-of a computation rather than caller mistakes.
+of a computation rather than caller mistakes.  _integral and _real are
+the checks every layer runs on numeric inputs: they accept a number and
+never coerce a bool or a string into one.
 """
+
+import math
+
+import numpy as np
+
+
+def _integral(name: str, v) -> int:
+    """v as an int if it is an integral number; never truncates."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _real(name: str, v) -> float:
+    """v as a float if it is a finite int, float or numpy real; never a bool."""
+    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an int past the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a finite real number, got {v!r}")
 
 
 class NumericOverflowError(ArithmeticError):

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .circle import BackwardItinerary, ExpandingMap, apply_map, shift_backward, truncate_itinerary
+from .circle import (BackwardItinerary, ExpandingMap, apply_map, circle_distance, shift_backward,
+                     truncate_itinerary)
 from .errors import DepthError, ResolutionError
 
 # aligned_anchor's 2^-49 lattice keeps x + d exact for digits d < k <= 8
@@ -31,44 +31,23 @@ MAX_ANCHOR_K = 8
 
 
 def _plateau(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 1 for t <= 0, 0 for t >= 1, exp-mollified between."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    out[t <= 0.0] = 1.0
-    out[t >= 1.0] = 0.0
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    with np.errstate(over="ignore"):
-        a = np.exp(-1.0 / (1.0 - tm))
-        b = np.exp(-1.0 / tm)
-    out[mid] = a / (a + b)
-    return out
+    """C-infinity step: 1 for t <= 0, 0 for t >= 1, exp-mollified between.
 
-
-# grid points per chunk of the plateau slope scan; bounds its scratch memory
-_SLOPE_CHUNK = 1 << 14
-
-
-@lru_cache(maxsize=1)
-def _plateau_slope_bound() -> float:
-    """Certified-with-margin bound on max |d/dt| of the plateau profile.
-
-    Scans the grid np.linspace(1e-6, 1 - 1e-6, 200_001) chunk by chunk,
-    placing each point as linspace does; consecutive chunks share one
-    endpoint, so every grid difference is taken exactly once.
+    Clipping t to [1e-3, 1 - 1e-3] moves no value: past either end one of
+    the two exponentials underflows to exactly 0, so a / (a + b) is 1 or 0.
     """
-    lo, hi, n = 1e-6, 1.0 - 1e-6, 200_001
-    step = (hi - lo) / (n - 1)
-    h = (step + lo) - lo  # t[1] - t[0]
-    diff = 0.0
-    for i in range(0, n - 1, _SLOPE_CHUNK):
-        j = min(i + _SLOPE_CHUNK, n - 1)
-        t = np.arange(i, j + 1, dtype=np.float64) * step + lo
-        if j == n - 1:
-            t[-1] = hi
-        diff = max(diff, float(np.max(np.abs(np.diff(_plateau(t))))))
-    # rounding is monotone, so dividing the largest difference gives the largest slope
-    return diff / h * 1.05
+    t = np.clip(np.asarray(t, dtype=np.float64), 1e-3, 1.0 - 1e-3)
+    a = np.exp(-1.0 / (1.0 - t))
+    b = np.exp(-1.0 / t)
+    return a / (a + b)
+
+
+# max |p'| of the plateau profile p, with a 5% margin.  The maximum is exactly
+# 2, at t = 1/2: with s = t - 1/2 and w = 4s/(1 - 4s^2), p = (1 - tanh w)/2 and
+#     |p'(t)| = 2(1 + 4s^2) / ((1 - 4s^2)^2 cosh^2 w),
+# while (1 + 4s^2)/(1 - 4s^2)^2 = 1/(1 - 4s^2) + w^2/2 <= 1 + w^2 <= cosh^2 w
+# (the first step is 4s^2/(1 - 4s^2) <= w^2/2, i.e. 1 - 4s^2 <= 2).
+_PLATEAU_SLOPE = 2.0 * 1.05
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +137,7 @@ def separation_certificate(real: NatExtRealization, grid_n: int = 4096) -> float
         gap = np.sqrt(np.sum((hx - hy) ** 2, axis=1))
         worst = min(worst, float(np.min(gap)))
     band = real.r_outer - real.r_inner
-    lip = math.sqrt(2.0) * _plateau_slope_bound() / band
+    lip = math.sqrt(2.0) * _PLATEAU_SLOPE / band
     return worst - lip * 0.5 / grid_n
 
 
@@ -216,9 +195,7 @@ def conjugacy_residual(real: NatExtRealization, it: BackwardItinerary) -> tuple[
     a = iota(real, it).point
     b = iota(real, shift_backward(it)).point
     gb = apply_g(real, b.base, b.fiber)
-    base_gap = abs(gb.base - a.base)
-    base_gap = min(base_gap, 1.0 - base_gap)
-    err = math.hypot(base_gap, float(np.linalg.norm(gb.fiber - a.fiber)))
+    err = math.hypot(circle_distance(gb.base, a.base), float(np.linalg.norm(gb.fiber - a.fiber)))
     return err, real.lam**it.depth
 
 

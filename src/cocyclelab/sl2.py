@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError
+from .errors import NumericOverflowError, _real
 
 DET_TOL = 1e-9
 PI = math.pi
@@ -86,7 +86,7 @@ class Mat2:
     @staticmethod
     def from_rows(rows) -> "Mat2":
         (a, b), (c, d) = rows
-        return Mat2(float(a), float(b), float(c), float(d))
+        return Mat2(*(_real("matrix entry", v) for v in (a, b, c, d)))
 
     def to_rows(self) -> list[list[float]]:
         return [[self.a, self.b], [self.c, self.d]]

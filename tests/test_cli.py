@@ -146,6 +146,24 @@ def test_rescaled_spec_base_warns(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"base": [["2", 0], [0, "0.5"]]}, "matrix entry"),
+    ({"base": [[True, 0], [0, 1]]}, "matrix entry"),
+    ({"base": [[2, 0], [0, 0.5]], "twist": [{"freq": 1, "amp": "0.25"}]}, "amp"),
+    ({"base": [[2, 0], [0, 0.5]], "twist": [{"freq": 1, "amp": 0.25, "phase": True}]}, "phase"),
+    ({"base": [[2, 0], [0, 0.5]], "theta": True}, "theta"),
+    ({"base": [[2, 0], [0, 0.5]], "winding": "1"}, "winding"),
+    ({"base": [[2, 0], [0, 0.5]], "twist": [{"freq": 1.5, "amp": 0.25}]}, "frequency"),
+], ids=["base-string", "base-bool", "amp-string", "phase-bool", "theta-bool", "winding-string",
+        "freq-float"])
+def test_spec_numbers_are_not_coerced(spec, field, tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert run_cli(["degree", "--grid", "512", "--spec", str(spec_file)], tmp_path)[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+
+
 def test_malformed_config_and_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

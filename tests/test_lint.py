@@ -167,3 +167,38 @@ def test_per_term_trig_check_sees_a_sine_per_term():
     )
     assert _per_term_trig(ast.parse(per_term_angles)) == ["_angles"]
     assert "CocycleSpec.twist_gap" in _per_term_trig(MODULES["cocycle.py"])
+
+
+def _coercions_in_post_init(tree: ast.AST) -> list[str]:
+    """Classes whose __post_init__ calls int(...) or float(...), with the call's line."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                found += [f"{cls.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id in ("int", "float")]
+    return found
+
+
+def test_post_init_validates_instead_of_coercing():
+    # int(1.7) and float("0.25") turn bad input into a value; errors._integral
+    # and errors._real accept a number or raise
+    coerced = [f"{name}:{where}" for name, tree in MODULES.items()
+               for where in _coercions_in_post_init(tree)]
+    assert not coerced, f"int() or float() inside __post_init__: {coerced}"
+
+
+def test_coercion_check_sees_a_truncated_digit():
+    # the check must flag the BackwardItinerary that ran digits (1.7, 2.9) as (1, 2)
+    truncating = (
+        "class BackwardItinerary:\n"
+        "    def __post_init__(self):\n"
+        "        if self.k < 2:\n"
+        "            raise ValueError('degree k must be >= 2')\n"
+        "        digits = tuple(int(d) for d in self.digits)\n"
+        "        object.__setattr__(self, 'digits', digits)\n"
+    )
+    assert _coercions_in_post_init(ast.parse(truncating)) == ["BackwardItinerary:5"]

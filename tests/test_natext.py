@@ -1,7 +1,6 @@
 """Smooth skew-product model of the inverse limit: charts, embedding, conjugacy."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from cocyclelab import (
     separation_certificate,
     truncation_gap,
 )
-from cocyclelab.natext import _plateau, _plateau_slope_bound
+from cocyclelab.natext import _PLATEAU_SLOPE, _plateau
 
 FROZEN_DELTA = {2: 1.4084130770586694, 8: 1.3910116211153922}
 
@@ -96,23 +95,63 @@ def test_separation_certificate_is_a_lower_bound(k, real2, real8):
     assert cert >= 0.9 * observed  # and it is not drastically pessimistic
 
 
-def one_shot_slope_bound() -> float:
-    """The plateau slope bound over the whole grid at once."""
-    t = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
-    slope = np.abs(np.diff(_plateau(t))) / (t[1] - t[0])
-    return float(np.max(slope)) * 1.05
+def masked_plateau(t: np.ndarray) -> np.ndarray:
+    """The plateau profile as first written, one boolean mask per regime."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    out[t <= 0.0] = 1.0
+    out[t >= 1.0] = 0.0
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    with np.errstate(over="ignore"):
+        a = np.exp(-1.0 / (1.0 - tm))
+        b = np.exp(-1.0 / tm)
+    out[mid] = a / (a + b)
+    return out
 
 
-def test_plateau_slope_bound_is_the_one_shot_bound_in_little_memory():
-    _plateau_slope_bound.cache_clear()
-    tracemalloc.start()
-    try:
-        bound = _plateau_slope_bound()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert bound.hex() == one_shot_slope_bound().hex()
-    assert peak <= 2_000_000
+def test_plateau_matches_the_masked_formula_bitwise():
+    rng = rng_from(14)
+    tiny = 10.0 ** -rng.uniform(3.0, 320.0, size=100_000)  # down to subnormals
+    t = np.concatenate([
+        rng.uniform(-0.5, 1.5, size=300_000),
+        rng.uniform(-1e-3, 0.0, size=50_000),
+        rng.uniform(1.0, 1.0 + 1e-3, size=50_000),
+        rng.uniform(0.0, 2e-3, size=200_000),
+        1.0 - rng.uniform(0.0, 2e-3, size=200_000),
+        np.linspace(0.0, 1.0, 100_001),
+        tiny, 1.0 - tiny, -tiny, 1.0 + tiny,
+        [0.0, -0.0, 1.0, 1e-3, 1.0 - 1e-3, 2e-3, 1.0 - 2e-3, 5e-324, -5e-324,
+         math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -math.inf, math.inf],
+    ])
+    assert t.size >= 1_000_000
+    got, want = _plateau(t), masked_plateau(t)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def plateau_slope(t: np.ndarray) -> np.ndarray:
+    """|p'(t)| = 2(1 + 4s^2) / ((1 - 4s^2)^2 cosh^2 w), s = t - 1/2, w = 4s/(1 - 4s^2),
+    with 1/cosh^2 w written as 4e / (1 + e)^2, e = exp(-2|w|), so nothing overflows."""
+    s = t - 0.5
+    q = 1.0 - 4.0 * s * s
+    e = np.exp(-2.0 * np.abs(4.0 * s / q))
+    return 2.0 * (1.0 + 4.0 * s * s) / (q * q) * (4.0 * e / (1.0 + e) ** 2)
+
+
+def test_plateau_slope_is_two_at_the_midpoint_and_at_most_two_elsewhere():
+    t = np.linspace(0.0, 1.0, 2_000_001)[1:-1]
+    assert np.max(plateau_slope(t)) <= 2.0
+    assert plateau_slope(np.array([0.5]))[0] == 2.0
+    # the closed form agrees with the profile's own difference quotients
+    mid = np.linspace(0.01, 0.99, 9801)
+    h = 1e-6
+    fd = (_plateau(mid - h) - _plateau(mid + h)) / (2.0 * h)
+    assert np.allclose(fd, plateau_slope(mid), rtol=1e-6, atol=1e-9)
+    # the grid scan the certificate used to run finds the same maximum
+    g = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
+    scanned = float(np.max(np.abs(np.diff(_plateau(g))))) / (g[1] - g[0])
+    assert 2.0 * (1.0 - 1e-9) <= scanned <= 2.0 * (1.0 + 1e-9)
+    assert _PLATEAU_SLOPE == 2.0 * 1.05
 
 
 # -- the skew product -------------------------------------------------------------

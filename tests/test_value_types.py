@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
@@ -12,6 +13,7 @@ import cocyclelab
 from _util import example_map, example_spec
 from cocyclelab import (
     BackwardItinerary,
+    CocycleSpec,
     ExpandingMap,
     HolonomyResult,
     LyapunovEstimate,
@@ -23,7 +25,10 @@ from cocyclelab import (
     cocycle_product,
     degree_obstruction,
     evaluate,
+    extend_itinerary,
     periodic_points,
+    rng_from,
+    spec_from_json,
     svd2,
 )
 
@@ -104,3 +109,66 @@ def test_evaluate_builds_one_mat2_per_call(monkeypatch):
     monkeypatch.setattr(Mat2, "__post_init__", counted)
     assert [evaluate(SPEC, x).to_rows() for x in xs] == expected
     assert len(calls) == len(xs)
+
+
+# -- numeric fields are validated, never coerced ------------------------------------------
+
+IDENTITY_ROWS = [[1.0, 0.0], [0.0, 1.0]]
+
+# each entry builds a value with v in one field where an integer is due
+INTEGER_FIELDS = {
+    "ExpandingMap.k": lambda v: ExpandingMap(v),
+    "BackwardItinerary.k": lambda v: BackwardItinerary(v, 0.5, ()),
+    "BackwardItinerary.digits": lambda v: BackwardItinerary(3, 0.5, (0, v)),
+    "extend_itinerary digits": lambda v: extend_itinerary(BackwardItinerary(3, 0.5, ()), (v,)),
+    "TwistTerm.freq": lambda v: TwistTerm(v, 0.1, 0.0),
+    "CocycleSpec.winding": lambda v: CocycleSpec(SPEC.base, winding=v),
+    "rng_from component": lambda v: rng_from(1, v),
+    "spec json winding": lambda v: spec_from_json({"base": IDENTITY_ROWS, "winding": v}),
+    "spec json twist freq": lambda v: spec_from_json(
+        {"base": IDENTITY_ROWS, "twist": [{"freq": v, "amp": 0.1}]}),
+}
+
+# ... and where a real number is due
+REAL_FIELDS = {
+    "TwistTerm.amp": lambda v: TwistTerm(1, v, 0.0),
+    "TwistTerm.phase": lambda v: TwistTerm(1, 0.1, v),
+    "CocycleSpec.theta": lambda v: CocycleSpec(SPEC.base, winding=1, theta=v),
+    "Mat2.from_rows entry": lambda v: Mat2.from_rows([[v, 0.0], [0.0, 1.0]]),
+    "spec json base entry": lambda v: spec_from_json({"base": [[1.0, 0.0], [0.0, v]]}),
+    "spec json twist amp": lambda v: spec_from_json(
+        {"base": IDENTITY_ROWS, "twist": [{"freq": 1, "amp": v}]}),
+    "spec json twist phase": lambda v: spec_from_json(
+        {"base": IDENTITY_ROWS, "twist": [{"freq": 1, "amp": 0.1, "phase": v}]}),
+    "spec json theta": lambda v: spec_from_json({"base": IDENTITY_ROWS, "theta": v}),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "2", 1.7, None], ids=repr)
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_reject_what_is_not_an_integer(field, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        INTEGER_FIELDS[field](bad)
+    INTEGER_FIELDS[field](2)  # and the field does take an integer
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.25", None, math.nan, math.inf, 10**400],
+                         ids=repr)
+@pytest.mark.parametrize("field", sorted(REAL_FIELDS))
+def test_real_fields_reject_what_is_not_a_finite_real(field, bad):
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        REAL_FIELDS[field](bad)
+    REAL_FIELDS[field](0.5)  # and the field does take a real number
+
+
+def test_numeric_fields_store_plain_numbers():
+    m = ExpandingMap(np.int64(8))
+    assert type(m.k) is int and m.k == 8
+    it = BackwardItinerary(np.uint8(3), 0.5, (np.int64(2), 1.0))
+    assert type(it.k) is int and it.digits == (2, 1)
+    assert all(type(d) is int for d in it.digits)
+    term = TwistTerm(1, np.float32(0.25), 2)
+    assert type(term.amp) is float and term.amp == 0.25
+    assert type(term.phase) is float and term.phase == 2.0
+    assert type(CocycleSpec(SPEC.base, theta=1).theta) is float
+    assert Mat2.from_rows([[2, 0], [np.int64(0), np.float32(0.5)]]) == Mat2.diagonal(2.0)
