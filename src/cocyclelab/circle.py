@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import _integral
+from .errors import _integral, _real
 
 MAX_ENUMERATION = 10_000_000
 # the largest k whose digit windows fit int64 (window_width)
@@ -86,6 +86,7 @@ class BackwardItinerary:
         object.__setattr__(self, "k", _integral("degree k", self.k))
         if self.k < 2:
             raise ValueError("degree k must be >= 2")
+        object.__setattr__(self, "x0", _real("anchor x0", self.x0))
         if not 0.0 <= self.x0 < 1.0:
             raise ValueError(f"anchor {self.x0} outside [0, 1)")
         digits = tuple(_integral("branch digit", d) for d in self.digits)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .circle import ExpandingMap, _orbit, orbit_from_digits, window_width
 from .errors import NoHyperbolicityError, NumericOverflowError, _integral, _real
-from .sl2 import Mat2, ProjPoint, _mul, _s_max, _svd_raw, op_norm
+from .sl2 import Mat2, ProjPoint, _mul, _mul_stacked, _s_max, _svd_raw, op_norm
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -272,6 +272,23 @@ def _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed):
     return na * inv, nb * inv, nc * inv, nd * inv, logs + math.log(fr / SQRT2)
 
 
+def _pull(p):
+    """Scale each matrix of the stack p to Frobenius norm sqrt(2), in place.
+
+    Returns the log of each matrix's scale over sqrt(2).  The squared norm
+    is summed entry by entry, in _product_step's order.
+    """
+    a, b, c, d = p[0, 0], p[0, 1], p[1, 0], p[1, 1]
+    fr = a * a
+    fr += b * b
+    fr += c * c
+    fr += d * d
+    np.sqrt(fr, out=fr)
+    p *= SQRT2 / fr
+    fr /= SQRT2
+    return np.log(fr, out=fr)
+
+
 def _reduce(ea, eb, ec, ed):
     """E[..., n-1] ... E[..., 0] for n >= 1 along the last axis, by pairwise halving.
 
@@ -282,24 +299,40 @@ def _reduce(ea, eb, ec, ed):
     joins the sum of its halves' logs.  An odd leftover carries to the next
     level unchanged.  Every row is reduced by the same tree, so a row gives
     the same bits as a 1-D call on it.
+
+    The first level multiplies the four entry arrays into one (2, 2, ...)
+    stack of pair products (for n = 1 it is empty and the lone matrix is
+    the leftover); every later level works on that stack.  The entries are
+    never copied into a full-size stack: in some processes a per-call copy
+    that large made the C heap trim and re-fault ~1.5 MB per (4, 4096)
+    block.  A zero, infinite or NaN norm at any level makes its log -inf,
+    inf or NaN, and every log is summed into the root, so one finiteness
+    test on the root logs finds it.
     """
-    logs = np.zeros(ea.shape)
-    while ea.shape[-1] > 1:
-        n = ea.shape[-1]
-        h = n & ~1
-        na, nb, nc, nd = _mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
-                              ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2])
-        fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
-        if not (fr.min() > 0.0 and fr.max() < math.inf):
-            raise NumericOverflowError("degenerate step in scaled product")
-        inv = SQRT2 / fr
-        level = [na * inv, nb * inv, nc * inv, nd * inv,
-                 logs[..., 1:h:2] + logs[..., :h:2] + np.log(fr / SQRT2)]
+    n = ea.shape[-1]
+    h = n & ~1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = np.array(_mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
+                          ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2]))
+        m = m.reshape((2, 2) + m.shape[1:])
+        logs = _pull(m)
         if h < n:
-            level = [np.concatenate((v, w[..., -1:]), axis=-1)
-                     for v, w in zip(level, (ea, eb, ec, ed, logs))]
-        ea, eb, ec, ed, logs = level
-    return ea[..., 0], eb[..., 0], ec[..., 0], ed[..., 0], logs[..., 0]
+            last = np.array(((ea[..., -1:], eb[..., -1:]), (ec[..., -1:], ed[..., -1:])))
+            m = np.concatenate((m, last), axis=-1)
+            logs = np.concatenate((logs, np.zeros(logs.shape[:-1] + (1,))), axis=-1)
+        while m.shape[-1] > 1:
+            n = m.shape[-1]
+            h = n & ~1
+            p = _mul_stacked(m[..., 1:h:2], m[..., :h:2])
+            level_log = _pull(p)
+            level_log += logs[..., 1:h:2] + logs[..., :h:2]
+            if h < n:
+                p = np.concatenate((p, m[..., -1:]), axis=-1)
+                level_log = np.concatenate((level_log, logs[..., -1:]), axis=-1)
+            m, logs = p, level_log
+    if not np.isfinite(logs).all():
+        raise NumericOverflowError("degenerate step in scaled product")
+    return m[0, 0, ..., 0], m[0, 1, ..., 0], m[1, 0, ..., 0], m[1, 1, ..., 0], logs[..., 0]
 
 
 def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:

@@ -25,6 +25,8 @@ def _integral(name: str, v) -> int:
 
 def _real(name: str, v) -> float:
     """v as a float if it is a finite int, float or numpy real; never a bool."""
+    if type(v) is float and math.isfinite(v):
+        return v
     if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
         try:
             x = float(v)

@@ -8,7 +8,9 @@ power-of-two scale when det over- or underflows.  Value types,
 here and across the package, are slotted frozen dataclasses, with no
 per-instance __dict__.  Computed products are kept as raw entries (_mul)
 or as cocycle.ScaledMatrix, not as chains of Mat2: for a product of
-large matrices the determinant is cancellation noise.  Directions in
+large matrices the determinant is cancellation noise.  _mul_stacked is
+_mul's twin for entries stacked in one (2, 2, ...) array, with _mul's
+bits; it serves cocycle._reduce only.  Directions in
 RP^1 are angles in [0, pi); each rule on them is written once, here, on
 floats or arrays: the wrap (_wrap), the signed shorter-arc step (_arc),
 the metric min(|p - q|, pi - |p - q|) (_dist) and the angle of
@@ -113,6 +115,15 @@ def _mul(a1, b1, c1, d1, a2, b2, c2, d2):
     return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
 
 
+def _mul_stacked(left, right):
+    """_mul on stacked entry arrays: left @ right for arrays of shape (2, 2, ...).
+
+    Entry [i, j] is left[i, 0] * right[0, j] + left[i, 1] * right[1, j],
+    _mul's products and sums in _mul's order, so the bits of _mul.
+    """
+    return left[:, 0:1] * right[0] + left[:, 1:2] * right[1]
+
+
 def _s_max(a: float, b: float, c: float, d: float) -> float:
     """Largest singular value: hypot((a+d)/2,(c-b)/2) + hypot((a-d)/2,(c+b)/2)."""
     return (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) * 0.5
@@ -158,9 +169,7 @@ class ProjPoint:
     angle: float
 
     def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError("non-finite angle")
-        object.__setattr__(self, "angle", _wrap(self.angle))
+        object.__setattr__(self, "angle", _wrap(_real("angle", self.angle)))
 
     @staticmethod
     def from_vector(x: float, y: float) -> "ProjPoint":

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,7 @@ from cocyclelab.cocycle import (
     _reduce,
 )
 from cocyclelab.errors import NumericOverflowError
+from cocyclelab.sl2 import _mul, _mul_stacked
 
 TWO_PI = 2.0 * math.pi
 
@@ -399,6 +401,102 @@ def test_reduce_rejects_one_degenerate_row():
     ea[1], ed[1] = 0.0, 0.0
     with pytest.raises(NumericOverflowError, match="degenerate step"):
         _reduce(ea, eb, ec, ed)
+
+
+def reduce_by_entry_arrays(ea, eb, ec, ed):
+    """The reduction on four separate entry arrays, as it stood before the
+    entries were stacked: _mul on strided slices and a range check per level."""
+    logs = np.zeros(ea.shape)
+    while ea.shape[-1] > 1:
+        n = ea.shape[-1]
+        h = n & ~1
+        na, nb, nc, nd = _mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
+                              ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2])
+        fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
+        if not (fr.min() > 0.0 and fr.max() < math.inf):
+            raise NumericOverflowError("degenerate step in scaled product")
+        inv = math.sqrt(2.0) / fr
+        level = [na * inv, nb * inv, nc * inv, nd * inv,
+                 logs[..., 1:h:2] + logs[..., :h:2] + np.log(fr / math.sqrt(2.0))]
+        if h < n:
+            level = [np.concatenate((v, w[..., -1:]), axis=-1)
+                     for v, w in zip(level, (ea, eb, ec, ed, logs))]
+        ea, eb, ec, ed, logs = level
+    return ea[..., 0], eb[..., 0], ec[..., 0], ed[..., 0], logs[..., 0]
+
+
+def hex_bits(values) -> list[list[str]]:
+    """float.hex of every entry, so -0.0 and 0.0 differ."""
+    return [[float(x).hex() for x in np.ravel(v)] for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 4095, 4096, 4097])
+@pytest.mark.parametrize("make_spec", [example_spec, twisted_spec], ids=["example", "perturbed"])
+def test_stacked_reduce_matches_entry_array_reduce_bitwise(make_spec, n):
+    spec = make_spec()
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (1, n), (2, n), (3, n), (4, n)):
+        entries = _entries(spec, rng.random(shape))
+        got = _reduce(*entries)
+        assert [v.shape for v in got] == [shape[:-1]] * 5
+        assert hex_bits(got) == hex_bits(reduce_by_entry_arrays(*entries))
+
+
+# ±0, subnormals, 1e±150 and everything between; no product overflows
+stack_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-150, -1e-150, 1e150, -1e150]),
+    st.floats(min_value=-1e150, max_value=1e150),
+)
+
+
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(stack_entries, min_size=8 * m,
+                                                    max_size=8 * m)))
+@settings(max_examples=300, deadline=None)
+def test_stacked_product_is_mul_bitwise(values):
+    left, right = np.array(values).reshape(2, 2, 2, -1)
+    got = _mul_stacked(left, right)
+    want = _mul(*left.reshape(4, -1), *right.reshape(4, -1))
+    assert hex_bits(got.reshape(4, -1)) == hex_bits(want)
+
+
+def identity_entries(n: int):
+    return np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
+
+
+def zero_at_an_inner_level():
+    # E1 E0 = diag(1, 0) and E3 E2 = diag(0, 1): the level-1 product is zero
+    ea, eb, ec, ed = identity_entries(8)
+    ed[0] = 0.0
+    ea[2] = 0.0
+    return ea, eb, ec, ed
+
+
+def inf_in_the_last_pair():
+    ea, eb, ec, ed = identity_entries(8)
+    ea[7] = math.inf
+    return ea, eb, ec, ed
+
+
+def inf_in_the_odd_leftover():
+    ea, eb, ec, ed = identity_entries(5)
+    eb[4] = -math.inf
+    return ea, eb, ec, ed
+
+
+def nan_entry():
+    ea, eb, ec, ed = identity_entries(6)
+    ec[3] = math.nan
+    return ea, eb, ec, ed
+
+
+@pytest.mark.parametrize("make", [zero_at_an_inner_level, inf_in_the_last_pair,
+                                  inf_in_the_odd_leftover, nan_entry], ids=lambda f: f.__name__)
+def test_degenerate_products_raise_and_warn_nothing(make):
+    # no np.errstate here: a RuntimeWarning would be an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="degenerate step"):
+            _reduce(*make())
 
 
 def test_cocycle_product_streams_the_float_orbit():

@@ -131,6 +131,8 @@ INTEGER_FIELDS = {
 
 # ... and where a real number is due
 REAL_FIELDS = {
+    "BackwardItinerary.x0": lambda v: BackwardItinerary(2, v, (1,)),
+    "ProjPoint.angle": ProjPoint,
     "TwistTerm.amp": lambda v: TwistTerm(1, v, 0.0),
     "TwistTerm.phase": lambda v: TwistTerm(1, 0.1, v),
     "CocycleSpec.theta": lambda v: CocycleSpec(SPEC.base, winding=1, theta=v),
@@ -171,4 +173,8 @@ def test_numeric_fields_store_plain_numbers():
     assert type(term.amp) is float and term.amp == 0.25
     assert type(term.phase) is float and term.phase == 2.0
     assert type(CocycleSpec(SPEC.base, theta=1).theta) is float
+    anchored = BackwardItinerary(2, np.float32(0.5), (1,))
+    assert type(anchored.x0) is float and anchored.points() == [0.5, 0.75]
+    assert type(ProjPoint(np.float64(0.25)).angle) is float
+    assert ProjPoint(1).angle == 1.0
     assert Mat2.from_rows([[2, 0], [np.int64(0), np.float32(0.5)]]) == Mat2.diagonal(2.0)
