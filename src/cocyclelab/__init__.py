@@ -16,15 +16,11 @@ from .circle import (
     PeriodicPoint,
     apply_map,
     circle_distance,
-    extend_itinerary,
-    inverse_branch,
     orbit_from_digits,
     periodic_orbits,
     periodic_points,
-    sample_unstable_neighbor,
     shift_backward,
     shift_forward,
-    truncate_itinerary,
 )
 from .cocycle import (
     DEFAULT_SEED,
@@ -50,7 +46,6 @@ from .cocycle import (
 )
 from .errors import (
     DegreeCheckError,
-    DepthError,
     HolonomyDivergedError,
     LeafMismatchError,
     NoHyperbolicityError,
@@ -60,7 +55,6 @@ from .errors import (
 from .holonomy import (
     HolonomyResult,
     holonomy_equivariance_residual,
-    s_holonomy,
     u_holonomy,
 )
 from .natext import (
@@ -71,14 +65,11 @@ from .natext import (
     conjugacy_residual,
     iota,
     separation_certificate,
-    truncation_gap,
 )
 from .sections import (
     ObstructionReport,
     ProjectiveLoop,
     degree_obstruction,
-    max_adjacent_gap,
-    rotate_loop,
     section_consistency_search,
     section_residual,
     stable_direction_loop,
@@ -88,14 +79,8 @@ from .sections import (
 from .sl2 import (
     Mat2,
     ProjPoint,
-    SvdPair,
-    is_hyperbolic,
     mat_product,
     op_norm,
-    proj_distance,
-    projective_action,
-    projective_derivative,
-    svd2,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

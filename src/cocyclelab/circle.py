@@ -1,8 +1,8 @@
 """The expanding maps f(x) = kx mod 1 and their natural-extension bookkeeping.
 
 A point of the natural extension is an anchor x0 together with a backward
-itinerary: digits d_1, d_2, ... selecting inverse branches, so that
-x_{-n} = (x_{-n+1} + d_n) / k.  Backward orbits contract at rate 1/k and
+itinerary: digits d_1, d_2, ... selecting the branch of each preimage, so
+that x_{-n} = (x_{-n+1} + d_n) / k.  Backward orbits contract at rate 1/k and
 are numerically stable; forward float orbits are not (see orbit_from_digits
 for the honest way to follow a Lebesgue-random forward orbit).
 """
@@ -61,15 +61,6 @@ def _preimage(k: int, y: float, digit: int) -> float:
     return math.nextafter(1.0, 0.0) if x >= 1.0 else x
 
 
-def inverse_branch(m: ExpandingMap, y: float, digit: int) -> float:
-    """The preimage of y in [digit/k, (digit+1)/k)."""
-    if not 0.0 <= y < 1.0:
-        raise ValueError(f"point {y} outside [0, 1)")
-    if not 0 <= digit < m.k:
-        raise ValueError(f"branch digit {digit} outside 0..{m.k - 1}")
-    return _preimage(m.k, y, digit)
-
-
 @dataclass(frozen=True, slots=True)
 class BackwardItinerary:
     """Anchor x0 plus inverse-branch digits; a natural-extension point.
@@ -107,33 +98,6 @@ class BackwardItinerary:
             x = _preimage(self.k, x, d)
             pts.append(x)
         return pts
-
-    def point(self, n: int) -> float:
-        """x_{-n}."""
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"no point at depth {n}")
-        return self.points()[n]
-
-
-def extend_itinerary(it: BackwardItinerary, extra_digits) -> BackwardItinerary:
-    return BackwardItinerary(it.k, it.x0, it.digits + tuple(extra_digits))
-
-
-def truncate_itinerary(it: BackwardItinerary, depth: int) -> BackwardItinerary:
-    if not 0 <= depth <= it.depth:
-        raise ValueError(f"cannot truncate depth {it.depth} to {depth}")
-    return BackwardItinerary(it.k, it.x0, it.digits[:depth])
-
-
-def sample_unstable_neighbor(it: BackwardItinerary, offset: float) -> BackwardItinerary:
-    """Same local unstable leaf: same digits, anchor shifted by offset.
-
-    |offset| must stay below the leaf radius 1/(2k).
-    """
-    rho = 1.0 / (2.0 * it.k)
-    if not abs(offset) < rho:
-        raise ValueError(f"offset {offset} leaves the local leaf (radius {rho})")
-    return BackwardItinerary(it.k, (it.x0 + offset) % 1.0, it.digits)
 
 
 def shift_forward(it: BackwardItinerary) -> BackwardItinerary:

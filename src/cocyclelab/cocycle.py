@@ -167,9 +167,9 @@ def _trig_sum(plan, c, s):
     return total
 
 
-def full_twist_spec(base: Mat2, theta: float = 1.0) -> CocycleSpec:
+def full_twist_spec(base: Mat2) -> CocycleSpec:
     """The canonical degree-one family A(x) = base . R(2 pi x)."""
-    return CocycleSpec(base=base, winding=1, terms=(), theta=theta)
+    return CocycleSpec(base=base, winding=1, terms=())
 
 
 def spec_to_json(spec: CocycleSpec) -> dict:
@@ -183,6 +183,12 @@ def spec_to_json(spec: CocycleSpec) -> dict:
 
 def spec_from_json(data: dict) -> CocycleSpec:
     try:
+        # a misspelt key would otherwise fall back to its default without a word
+        unknown = sorted(set(data) - {"base", "winding", "twist", "theta"})
+        unknown += sorted({f"twist.{key}" for t in data.get("twist", [])
+                           for key in set(t) - {"freq", "amp", "phase"}})
+        if unknown:
+            raise ValueError(f"unknown cocycle description keys: {unknown}")
         base = Mat2.from_rows(data["base"])
         terms = tuple(
             TwistTerm(t["freq"], t["amp"], t.get("phase", 0.0))
@@ -240,10 +246,6 @@ class ScaledMatrix:
     d: float
     log_scale: float
 
-    def op_norm_log(self) -> float:
-        """log of the largest singular value of the true product."""
-        return self.log_scale + math.log(_s_max(self.a, self.b, self.c, self.d))
-
     def stable_direction(self, min_gap: float) -> ProjPoint:
         """The input direction most contracted by the product.
 
@@ -255,11 +257,6 @@ class ScaledMatrix:
         if not gap >= min_gap:
             raise NoHyperbolicityError(gap, min_gap)
         return ProjPoint(-right + 0.5 * math.pi)
-
-    def matrix(self) -> Mat2:
-        """Reconstruct at unit scale; only sane while log_scale is small."""
-        s = math.exp(self.log_scale)
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
 
 
 def _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed):

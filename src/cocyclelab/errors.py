@@ -75,16 +75,5 @@ class ResolutionError(RuntimeError):
     """
 
 
-class DepthError(ValueError):
-    """An itinerary is too shallow for the requested embedding tolerance."""
-
-    def __init__(self, depth: int, required: int):
-        super().__init__(
-            f"itinerary depth {depth} insufficient, need at least {required}"
-        )
-        self.depth = depth
-        self.required = required
-
-
 class DegreeCheckError(RuntimeError):
     """Winding counts from independent reference vectors disagree."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circle import BackwardItinerary, ExpandingMap, circle_distance, shift_forward
+from .circle import BackwardItinerary, ExpandingMap, shift_forward
 from .cocycle import TWO_PI, CocycleSpec, _product_step, evaluate
 from .errors import HolonomyDivergedError, LeafMismatchError, NumericOverflowError
 from .sl2 import Mat2, _mul, _s_max
@@ -60,7 +60,9 @@ def _check_same_leaf(m: ExpandingMap, x_it: BackwardItinerary, y_it: BackwardIti
         raise ValueError("itineraries and map must share the same degree k")
     if x_it.digits != y_it.digits:
         raise LeafMismatchError("backward digits differ: not on one local unstable leaf")
-    if not circle_distance(x_it.x0, y_it.x0) < m.rho:
+    # the series contracts the real anchor gap y0 - x0, so a pair that is
+    # close only across the seam at 0 is not on one local leaf
+    if not abs(y_it.x0 - x_it.x0) < m.rho:
         raise LeafMismatchError(
             f"anchors {x_it.x0} and {y_it.x0} farther apart than the leaf radius {m.rho}"
         )
@@ -158,20 +160,6 @@ def _as_group_element(a, b, c, d, converged: bool) -> Mat2 | None:
     if 0.5 < det < 2.0:
         return Mat2(a, b, c, d)
     return None
-
-
-def s_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
-               y_it: BackwardItinerary) -> Mat2:
-    """Stable holonomy: identity, exactly.
-
-    Points of one local stable set share the anchor, A depends only on the
-    anchor, so the defining limit is the identity at every finite depth.
-    """
-    if x_it.k != m.k or y_it.k != m.k:
-        raise ValueError("itineraries and map must share the same degree k")
-    if x_it.x0 != y_it.x0:
-        raise LeafMismatchError("stable holonomy needs points over one anchor")
-    return Mat2.identity()
 
 
 def holonomy_equivariance_residual(spec: CocycleSpec, m: ExpandingMap,

@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import (BackwardItinerary, ExpandingMap, apply_map, circle_distance, shift_backward,
-                     truncate_itinerary)
-from .errors import DepthError, ResolutionError
+from .circle import BackwardItinerary, ExpandingMap, apply_map, circle_distance, shift_backward
+from .errors import ResolutionError
 
 # aligned_anchor's 2^-49 lattice keeps x + d exact for digits d < k <= 8
 MAX_ANCHOR_K = 8
@@ -89,11 +88,6 @@ class EmbeddedPoint(NamedTuple):
     fiber: np.ndarray
 
 
-class IotaResult(NamedTuple):
-    point: EmbeddedPoint
-    radius_bound: float
-
-
 def build_realization(m: ExpandingMap, grid_n: int = 4096) -> NatExtRealization:
     """Choose chart layout and contraction rate for the map x -> kx.
 
@@ -153,31 +147,22 @@ def apply_g(real: NatExtRealization, x: float, v: np.ndarray) -> EmbeddedPoint:
     return EmbeddedPoint(fx, real.fiber_step(x, v))
 
 
-def iota(real: NatExtRealization, it: BackwardItinerary, tol: float | None = None) -> IotaResult:
+def iota(real: NatExtRealization, it: BackwardItinerary) -> EmbeddedPoint:
     """Embed a backward itinerary: the nested-disk limit point over its anchor.
 
     Computed by running the fiber contraction up the precomputed backward
     orbit from (x_{-depth}, 0); the true limit lies within lam^depth.  The
     base coordinate is read off the stored orbit instead of being pushed
     through f at each step: same map (inverse branches are exact right
-    inverses), but no forward rounding drift feeding the bumps.  If tol is
-    given the itinerary must be deep enough that lam^depth <= tol, else
-    DepthError reports the depth required.
+    inverses), but no forward rounding drift feeding the bumps.
     """
     if it.k != real.map.k:
         raise ValueError("itinerary degree does not match the realization")
-    depth = it.depth
-    if tol is not None:
-        if not 0.0 < tol < 1.0:
-            raise ValueError("tol must be in (0, 1)")
-        required = math.ceil(math.log(tol) / math.log(real.lam))
-        if depth < required:
-            raise DepthError(depth, required)
     pts = it.points()
     v = np.zeros(real.n_charts)
-    for j in range(depth, 0, -1):
+    for j in range(it.depth, 0, -1):
         v = real.fiber_step(pts[j], v)
-    return IotaResult(EmbeddedPoint(it.x0, v), real.lam**depth)
+    return EmbeddedPoint(it.x0, v)
 
 
 def conjugacy_residual(real: NatExtRealization, it: BackwardItinerary) -> tuple[float, float]:
@@ -192,28 +177,11 @@ def conjugacy_residual(real: NatExtRealization, it: BackwardItinerary) -> tuple[
     """
     if it.depth < 1:
         raise ValueError("need depth >= 1")
-    a = iota(real, it).point
-    b = iota(real, shift_backward(it)).point
+    a = iota(real, it)
+    b = iota(real, shift_backward(it))
     gb = apply_g(real, b.base, b.fiber)
     err = math.hypot(circle_distance(gb.base, a.base), float(np.linalg.norm(gb.fiber - a.fiber)))
     return err, real.lam**it.depth
-
-
-def truncation_gap(real: NatExtRealization, it: BackwardItinerary) -> tuple[float, float]:
-    """(gap, bound): how much one extra level of digits moves the embedding.
-
-    Compares iota of the depth-(d-1) truncation against iota of the full
-    depth-d itinerary; the difference is the single deepest bump term,
-    of norm at most lam^(d-1) * sqrt(2)/(2N) < lam^(d-1).  Meaningful only
-    while that bound clears the float64 noise floor (depth <~ 12).
-    """
-    if it.depth < 2:
-        raise ValueError("need depth >= 2")
-    d = it.depth - 1
-    a = iota(real, truncate_itinerary(it, d)).point
-    b = iota(real, it).point
-    gap = float(np.linalg.norm(b.fiber - a.fiber))
-    return gap, real.lam**d
 
 
 def aligned_anchor(real: NatExtRealization, rng) -> float:

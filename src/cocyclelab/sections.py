@@ -55,11 +55,6 @@ class ProjectiveLoop:
         return _wrap(s0 + (t - j) * _arc(s0, s1))
 
 
-def max_adjacent_gap(loop: ProjectiveLoop) -> float:
-    """Largest projective distance between consecutive samples (cyclically)."""
-    return float(np.max(_dist(loop.samples, np.roll(loop.samples, -1))))
-
-
 def winding_number(loop: ProjectiveLoop) -> int:
     """Degree of the loop as a map into RP^1; half-turns count as one.
 
@@ -76,13 +71,6 @@ def winding_number(loop: ProjectiveLoop) -> int:
             f"{j} and {(j + 1) % loop.n} of {loop.n}; refine the grid"
         )
     return int(round(float(np.sum(steps)) / PI))
-
-
-def rotate_loop(loop: ProjectiveLoop, other: ProjectiveLoop) -> ProjectiveLoop:
-    """Pointwise angle sum; winding numbers add under this composition."""
-    if loop.n != other.n:
-        raise ValueError("loops must share a grid")
-    return ProjectiveLoop(loop.samples + other.samples)
 
 
 def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact-ish SL(2,R) arithmetic and the induced projective circle action.
+"""Exact-ish SL(2,R) arithmetic and the rules on projective directions.
 
 Mat2 is the validated det = 1 type for inputs and single evaluations:
 it renormalizes by sqrt(det) at construction.  A valid Mat2 costs one
@@ -97,12 +97,6 @@ class Mat2:
         # adjugate; det is already 1
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
     def apply(self, x: float, y: float) -> tuple[float, float]:
         return self.a * x + self.b * y, self.c * x + self.d * y
 
@@ -171,46 +165,9 @@ class ProjPoint:
     def __post_init__(self):
         object.__setattr__(self, "angle", _wrap(_real("angle", self.angle)))
 
-    @staticmethod
-    def from_vector(x: float, y: float) -> "ProjPoint":
-        if x == 0.0 and y == 0.0:
-            raise ValueError("zero vector has no direction")
-        return ProjPoint(math.atan2(y, x))
-
     def vector(self) -> tuple[float, float]:
         """The unit representative with angle in [0, pi)."""
         return math.cos(self.angle), math.sin(self.angle)
-
-
-def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
-    """Projective metric; bounded by pi/2."""
-    return float(_dist(p.angle, q.angle))
-
-
-def projective_action(m: Mat2, p: ProjPoint) -> ProjPoint:
-    return ProjPoint(_pushed_angle(m, p.angle))
-
-
-def projective_derivative(m: Mat2, p: ProjPoint) -> float:
-    """Derivative of the circle map induced by m at p, in the angle metric.
-
-    For det = 1 this is 1 / |m v|^2 with v the unit representative; it lies
-    in [cond(m)^-1, cond(m)] where cond = |m| |m^-1|.
-    """
-    x, y = p.vector()
-    wx, wy = m.apply(x, y)
-    return 1.0 / (wx * wx + wy * wy)
-
-
-@dataclass(frozen=True, slots=True)
-class SvdPair:
-    """Singular data of a Mat2: s_max >= 1 >= s_min > 0 with s_max*s_min = 1,
-    u_dir the left (image) direction of s_max, v_dir the right one."""
-
-    s_max: float
-    s_min: float
-    u_dir: ProjPoint
-    v_dir: ProjPoint
 
 
 def _svd_raw(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -235,14 +192,3 @@ def _svd_raw(a: float, b: float, c: float, d: float) -> tuple[float, float, floa
     left = 0.5 * (a2 + a1)
     right = 0.5 * (a2 - a1)
     return s_max, s_min, left, right
-
-
-def svd2(m: Mat2) -> SvdPair:
-    """Closed-form SVD.  u_dir = direction of m v_max, v_dir = direction v_max."""
-    s_max, s_min, left, right = _svd_raw(m.a, m.b, m.c, m.d)
-    return SvdPair(s_max, s_min, ProjPoint(left), ProjPoint(-right))
-
-
-def is_hyperbolic(m: Mat2, tol: float = 1e-9) -> bool:
-    """|trace| > 2 + tol: real eigenvalues off the unit circle."""
-    return abs(m.a + m.d) > 2.0 + tol

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from cocyclelab import CocycleSpec, ExpandingMap, Mat2, full_twist_spec
+from cocyclelab import (BackwardItinerary, CocycleSpec, ExpandingMap, Mat2, ProjPoint,
+                        full_twist_spec)
+from cocyclelab.sl2 import _dist, _pushed_angle
 
 BASE = Mat2.diagonal(2.0)
 
@@ -31,3 +33,28 @@ def as_array(m: Mat2) -> np.ndarray:
 def mat_gap(m1: Mat2, m2: Mat2) -> float:
     """Spectral-norm distance, by numpy SVD (independent of sl2.op_norm)."""
     return float(np.linalg.norm(as_array(m1) - as_array(m2), 2))
+
+
+def det(m: Mat2) -> float:
+    return m.a * m.d - m.b * m.c
+
+
+def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
+    """The projective metric on ProjPoints, by sl2._dist; bounded by pi/2."""
+    return float(_dist(p.angle, q.angle))
+
+
+def projective_action(m: Mat2, p: ProjPoint) -> ProjPoint:
+    """The direction of m v for v in the direction p, by sl2._pushed_angle."""
+    return ProjPoint(_pushed_angle(m, p.angle))
+
+
+def sample_unstable_neighbor(it: BackwardItinerary, offset: float) -> BackwardItinerary:
+    """Same local unstable leaf: same digits, anchor shifted by offset.
+
+    |offset| must stay below the leaf radius 1/(2k).
+    """
+    rho = 1.0 / (2.0 * it.k)
+    if not abs(offset) < rho:
+        raise ValueError(f"offset {offset} leaves the local leaf (radius {rho})")
+    return BackwardItinerary(it.k, it.x0 + offset, it.digits)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import as_array, example_map, example_spec
+from _util import as_array, example_map, example_spec, sample_unstable_neighbor
 from cocyclelab import (
     BackwardItinerary,
     CocycleSpec,
@@ -30,7 +30,6 @@ from cocyclelab import (
     lyapunov_furstenberg,
     lyapunov_norm_growth,
     rng_from,
-    sample_unstable_neighbor,
     spec_to_json,
     twist_degree,
     u_bunching_check,
@@ -254,7 +253,7 @@ def test_criterion_10_natural_extension_realization():
         for i in range(1000):
             it = BackwardItinerary(k, float(anchors[i]),
                                    tuple(int(d) for d in digit_rows[i]))
-            p = iota(real, it).point
+            p = iota(real, it)
             key = (p.base, p.fiber.tobytes())
             ident = (float(anchors[i]), digit_rows[i].tobytes())
             if key in seen and seen[key] != ident:

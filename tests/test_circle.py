@@ -8,24 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _util import sample_unstable_neighbor
 from cocyclelab import (
     BackwardItinerary,
     ExpandingMap,
     PeriodicPoint,
     apply_map,
     circle_distance,
-    extend_itinerary,
-    inverse_branch,
     orbit_from_digits,
     periodic_orbits,
     periodic_points,
-    sample_unstable_neighbor,
     shift_backward,
     shift_forward,
-    truncate_itinerary,
 )
 from cocyclelab import circle
-from cocyclelab.circle import MAX_ENUMERATION, window_width
+from cocyclelab.circle import MAX_ENUMERATION, _preimage, window_width
 
 ks = st.sampled_from([2, 3, 5, 8, 10])
 units = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -66,7 +63,7 @@ interior = st.floats(min_value=0.0, max_value=1.0 - 1e-9, allow_nan=False)
 def test_inverse_branch_is_right_inverse(k, y, digit):
     m = ExpandingMap(k)
     d = digit % k
-    x = inverse_branch(m, y, d)
+    x = _preimage(k, y, d)
     assert d / k <= x < (d + 1) / k
     assert apply_map(m, x) == pytest.approx(y, abs=1e-12)
     assert math.floor(k * x) == d
@@ -78,17 +75,7 @@ def test_branch_arithmetic_clamped_below_one():
     it = BackwardItinerary(5, top, (4, 4, 4))
     assert all(p < 1.0 for p in it.points())
     assert shift_backward(it).x0 < 1.0
-    assert inverse_branch(ExpandingMap(3), top, 2) == math.nextafter(1.0, 0.0)
-
-
-def test_inverse_branch_validation():
-    m = ExpandingMap(4)
-    with pytest.raises(ValueError):
-        inverse_branch(m, 0.5, 4)
-    with pytest.raises(ValueError):
-        inverse_branch(m, 0.5, -1)
-    with pytest.raises(ValueError):
-        inverse_branch(m, 1.0, 0)
+    assert _preimage(3, top, 2) == math.nextafter(1.0, 0.0)
 
 
 # -- backward itineraries -----------------------------------------------------
@@ -111,9 +98,6 @@ def test_points_follow_branch_recurrence():
     assert pts[1] == (0.5 + 3) / 4
     assert pts[2] == pts[1] / 4
     assert pts[3] == (pts[2] + 2) / 4
-    assert it.point(2) == pts[2]
-    with pytest.raises(ValueError):
-        it.point(4)
 
 
 @given(ks, units, st.lists(st.integers(0, 9), min_size=1, max_size=25))
@@ -133,16 +117,6 @@ def test_same_leaf_contraction_exact_for_dyadics():
     b = BackwardItinerary(k, 0.75, digits).points()
     for n, (x, y) in enumerate(zip(a, b)):
         assert y - x == 0.5 / k**n
-
-
-def test_extend_truncate_round_trip():
-    it = BackwardItinerary(3, 0.4, (1, 2))
-    ext = extend_itinerary(it, (0, 1))
-    assert ext.digits == (1, 2, 0, 1)
-    assert truncate_itinerary(ext, 2).digits == it.digits
-    assert truncate_itinerary(ext, 0).digits == ()
-    with pytest.raises(ValueError):
-        truncate_itinerary(it, 3)
 
 
 def test_shift_backward_then_forward_round_trip():
@@ -166,11 +140,11 @@ def test_shift_forward_prepends_current_digit(k, x0, raw):
     assert fwd.digits[1:] == it.digits
     assert 0.0 <= fwd.x0 < 1.0
     # the prepended digit names which branch x0 sits in
-    assert inverse_branch(ExpandingMap(k), fwd.x0, fwd.digits[0]) == pytest.approx(
-        it.x0, abs=1e-12)
+    assert _preimage(k, fwd.x0, fwd.digits[0]) == pytest.approx(it.x0, abs=1e-12)
 
 
 def test_sample_unstable_neighbor_bounds():
+    # the leaf-pair builder of the holonomy tests stays on one local leaf
     it = BackwardItinerary(8, 0.5, (3, 1))
     nb = sample_unstable_neighbor(it, 0.01)
     assert nb.digits == it.digits

@@ -164,6 +164,18 @@ def test_spec_numbers_are_not_coerced(spec, field, tmp_path, capsys):
     assert err.startswith(f"error: {field} must be ")
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"base": [[2, 0], [0, 0.5]], "windng": 3}, "windng"),
+    ({"base": [[2, 0], [0, 0.5]], "twist": [{"freq": 2, "amp": 0.1, "phse": 1.0}]}, "twist.phse"),
+], ids=["top-level", "twist-term"])
+def test_spec_refuses_unknown_keys(spec, key, tmp_path, capsys):
+    # a misspelt key would otherwise run the default it was meant to replace
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert run_cli(["degree", "--grid", "512", "--spec", str(spec_file)], tmp_path)[0] == 1
+    assert f"unknown cocycle description keys: ['{key}']" in capsys.readouterr().err
+
+
 def test_malformed_config_and_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

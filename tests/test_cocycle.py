@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import BASE, as_array, example_map, example_spec, random_sl2
+from _util import BASE, as_array, example_map, example_spec, proj_distance, random_sl2
 from cocyclelab import (
     CocycleSpec,
     ExpandingMap,
@@ -27,7 +27,6 @@ from cocyclelab import (
     oseledets_stable_direction,
     perturb,
     phi,
-    proj_distance,
     rng_from,
     spec_from_json,
     spec_to_json,
@@ -47,7 +46,7 @@ from cocyclelab.cocycle import (
     _reduce,
 )
 from cocyclelab.errors import NumericOverflowError
-from cocyclelab.sl2 import _mul, _mul_stacked
+from cocyclelab.sl2 import _mul, _mul_stacked, _s_max
 
 TWO_PI = 2.0 * math.pi
 
@@ -326,7 +325,7 @@ def test_product_matches_naive_matmul(k, n):
 def test_product_identity_at_zero_steps():
     got = cocycle_product(example_spec(), example_map(), 0.3, 0)
     assert got.log_scale == 0.0
-    assert got.matrix().to_rows() == [[1.0, 0.0], [0.0, 1.0]]
+    assert (got.a, got.b, got.c, got.d) == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_product_rejects_bad_args():
@@ -341,7 +340,8 @@ def test_product_survives_depth_constant_cocycle():
     the log of the norm exact to quadrature error."""
     got = cocycle_product(constant_spec(), example_map(), 0.5, 50_000)
     # one rounding of ~eps per log-accumulation step
-    assert got.op_norm_log() == pytest.approx(50_000 * math.log(2.0), rel=1e-11)
+    log_norm = got.log_scale + math.log(_s_max(got.a, got.b, got.c, got.d))
+    assert log_norm == pytest.approx(50_000 * math.log(2.0), rel=1e-11)
     # s_min underflowed, as it should: only an infinite gap meets min_gap = inf
     assert proj_distance(got.stable_direction(math.inf), ProjPoint(math.pi / 2)) <= 1e-12
 

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _util import as_array, example_map, example_spec
+from _util import as_array, det, example_map, example_spec, sample_unstable_neighbor
 from cocyclelab import (
     BackwardItinerary,
     ExpandingMap,
     HolonomyDivergedError,
     LeafMismatchError,
     holonomy_equivariance_residual,
-    s_holonomy,
-    sample_unstable_neighbor,
     u_holonomy,
 )
 
@@ -68,18 +66,6 @@ def test_zero_offset_neighbor_gives_identity():
     assert res.converged and res.h.to_rows() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-def test_stable_holonomy_is_identity():
-    x_it, _ = leaf_pair(8, 2)
-    y_it = BackwardItinerary(8, x_it.x0, tuple(reversed(x_it.digits)))
-    h = s_holonomy(example_spec(), example_map(), x_it, y_it)
-    assert h.to_rows() == [[1.0, 0.0], [0.0, 1.0]]
-    with pytest.raises(LeafMismatchError):
-        s_holonomy(example_spec(), example_map(), x_it,
-                   sample_unstable_neighbor(x_it, 1e-3))
-    with pytest.raises(ValueError):
-        s_holonomy(example_spec(), ExpandingMap(2), x_it, y_it)
-
-
 # -- argument validation -------------------------------------------------------
 
 def test_rejects_mismatched_leaves():
@@ -91,6 +77,10 @@ def test_rejects_mismatched_leaves():
     far = BackwardItinerary(8, (x_it.x0 + 0.3) % 1.0, x_it.digits)
     with pytest.raises(LeafMismatchError):
         u_holonomy(spec, m, x_it, far)
+    # 0.01 apart across the seam at 0, but the series contracts the real gap -0.99
+    straddling = [BackwardItinerary(8, x0, (5,) * 64) for x0 in (0.999, 0.009)]
+    with pytest.raises(LeafMismatchError):
+        u_holonomy(spec, m, *straddling)
     with pytest.raises(ValueError):
         u_holonomy(spec, ExpandingMap(2), x_it, y_it)
 
@@ -138,8 +128,7 @@ def test_bunched_pairs_converge_geometrically(seed):
     for i in range(5, len(res.residuals) - 1):
         assert res.residuals[i + 1] <= 0.6 * res.residuals[i]
     assert res.h is not None
-    det = res.h.det()
-    assert det == pytest.approx(1.0, abs=1e-12)
+    assert det(res.h) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,13 +1,20 @@
-"""Standard-library lint of the package: no unused imports, no dead private names."""
+"""Standard-library lint of the package: no unused imports, no dead private names,
+no public name that neither the package nor the README uses."""
 
 import ast
+import inspect
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cocyclelab"
+import cocyclelab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cocyclelab"
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(SRC.glob("*.py"))}
+README = (ROOT / "README.md").read_text()
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -61,6 +68,30 @@ def test_every_private_top_level_name_has_a_caller():
             dead += [f"{name}:{node.lineno} {d}" for d in defined
                      if d.startswith("_") and not d.startswith("__") and d not in callers]
     assert not dead, f"private names nobody calls: {dead}"
+
+
+def _uncalled_exports(exported, modules: dict[str, ast.Module], readme: str) -> list[str]:
+    """Exported names that no module but __init__ reads and the README never names."""
+    callers = set()
+    for name, tree in modules.items():
+        if name != "__init__.py":  # its imports are the re-exports themselves
+            callers |= _loaded(tree)
+    mentioned = set(re.findall(r"\w+", readme))
+    return sorted(n for n in exported if n not in callers and n not in mentioned)
+
+
+def test_every_export_has_a_caller_or_a_readme_mention():
+    # the public surface is what the commands use and the README documents
+    exported = [n for n in cocyclelab.__all__ if not inspect.ismodule(getattr(cocyclelab, n))]
+    dead = _uncalled_exports(exported, MODULES, README)
+    assert not dead, f"exported names with no caller in src/ and no mention in README.md: {dead}"
+
+
+def test_export_check_sees_an_uncalled_export():
+    # the check must flag an export nobody calls, or it checks nothing
+    orphan = ast.parse("def orphan(spec):\n    return evaluate(spec, 0.5)\n")
+    modules = dict(MODULES, **{"orphan.py": orphan})
+    assert _uncalled_exports(["orphan", "evaluate"], modules, README) == ["orphan"]
 
 
 def _is_pi(node: ast.expr) -> bool:

@@ -7,7 +7,6 @@ import pytest
 
 from cocyclelab import (
     BackwardItinerary,
-    DepthError,
     ExpandingMap,
     aligned_anchor,
     apply_g,
@@ -16,9 +15,7 @@ from cocyclelab import (
     conjugacy_residual,
     iota,
     rng_from,
-    sample_unstable_neighbor,
     separation_certificate,
-    truncation_gap,
 )
 from cocyclelab.natext import _PLATEAU_SLOPE, _plateau
 
@@ -182,26 +179,25 @@ def test_fixed_point_of_g(real2):
     it = BackwardItinerary(2, 0.0, (0,) * 40)
     got = iota(real2, it)
     want = real2.h(0.0) / (2.0 * real2.n_charts * (1.0 - real2.lam))
-    assert np.allclose(got.point.fiber, want, rtol=1e-12, atol=0)
-    img = apply_g(real2, 0.0, got.point.fiber)
+    assert np.allclose(got.fiber, want, rtol=1e-12, atol=0)
+    img = apply_g(real2, 0.0, got.fiber)
     assert img.base == 0.0
-    assert np.allclose(img.fiber, got.point.fiber, rtol=1e-12, atol=0)
+    assert np.allclose(img.fiber, got.fiber, rtol=1e-12, atol=0)
 
 
 # -- the embedding ------------------------------------------------------------------
 
 def test_iota_depth_control(real2):
+    """A depth-d itinerary pins its embedding to within lam^d: every deeper
+    continuation of its digits lands in that ball."""
     it = BackwardItinerary(2, 0.25, (0, 1, 0, 1, 0))
-    # lam(k=2) ~ 0.079: 1e-6 needs ceil(log 1e-6 / log lam) = 6 levels
-    required = math.ceil(math.log(1e-6) / math.log(real2.lam))
-    assert required == 6
-    with pytest.raises(DepthError) as err:
-        iota(real2, it, tol=1e-6)
-    assert err.value.depth == 5 and err.value.required == 6
-    res = iota(real2, it, tol=1e-4)
-    assert res.radius_bound == real2.lam**5
-    with pytest.raises(ValueError):
-        iota(real2, it, tol=1.5)
+    shallow = iota(real2, it).fiber
+    rng = rng_from(5)
+    for _ in range(20):
+        deeper = it.digits + tuple(int(d) for d in rng.integers(0, 2, size=35))
+        deep = iota(real2, BackwardItinerary(2, 0.25, deeper)).fiber
+        gap = float(np.linalg.norm(deep - shallow))
+        assert 0.0 < gap <= real2.lam**5
     with pytest.raises(ValueError):
         iota(real2, BackwardItinerary(8, 0.25, (0,) * 5))
 
@@ -219,8 +215,8 @@ def test_digit_differences_separate_embeddings(k, real2, real8):
         digits = [int(d) for d in rng.integers(0, k, size=14)]
         other = list(digits)
         other[j - 1] = (digits[j - 1] + 1) % k
-        a = iota(real, BackwardItinerary(k, x0, tuple(digits))).point
-        b = iota(real, BackwardItinerary(k, x0, tuple(other))).point
+        a = iota(real, BackwardItinerary(k, x0, tuple(digits)))
+        b = iota(real, BackwardItinerary(k, x0, tuple(other)))
         gap = float(np.linalg.norm(a.fiber - b.fiber))
         scale = real.lam ** (j - 1) / n2
         assert gap >= 0.5 * real.delta * scale
@@ -239,7 +235,7 @@ def test_embedding_is_injective_in_bulk(real8):
     fibers = np.empty((n, real8.n_charts))
     for i in range(n):
         it = BackwardItinerary(8, float(anchors[i]), tuple(int(d) for d in digit_rows[i]))
-        fibers[i] = iota(real8, it).point.fiber
+        fibers[i] = iota(real8, it).fiber
     order = np.lexsort((anchors,))
     floor = real8.delta / (4.0 * real8.n_charts)  # half the level-1 scale
     checked = 0
@@ -286,18 +282,17 @@ def test_conjugacy_requires_depth(real8):
 @pytest.mark.parametrize("k", [2, 8])
 def test_truncation_tail_matches_rate(k, real2, real8):
     """The depth-d embedding moves by ~lam^{d-1}/(2N) when one more digit
-    arrives: inside the returned lam^{d-1} bound and above lam^{d-1}/(2N),
+    arrives: below lam^{d-1} sqrt(2)/(2N) and above lam^{d-1}/(2N),
     since some bump coordinate is 1 at every point."""
     real = {2: real2, 8: real8}[k]
     rng = rng_from(477, k)
     for depth in range(4, 13):
         it = random_itinerary(real, seed=depth + 100 * k, depth=depth)
-        gap, bound = truncation_gap(real, it)
-        assert bound == real.lam ** (depth - 1)
+        truncated = BackwardItinerary(k, it.x0, it.digits[:-1])
+        gap = float(np.linalg.norm(iota(real, it).fiber - iota(real, truncated).fiber))
+        bound = real.lam ** (depth - 1)
         assert gap <= bound * math.sqrt(2.0) / (2.0 * real.n_charts)
         assert gap >= bound * 0.99 / (2.0 * real.n_charts)
-    with pytest.raises(ValueError):
-        truncation_gap(real, BackwardItinerary(k, 0.3, (0,)))
 
 
 def test_aligned_anchor_guard():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _util import example_map, example_spec
+from _util import example_map, example_spec, proj_distance, projective_action
 from cocyclelab import (
     CocycleSpec,
     ExpandingMap,
@@ -16,11 +16,7 @@ from cocyclelab import (
     ResolutionError,
     degree_obstruction,
     evaluate,
-    max_adjacent_gap,
     perturb,
-    proj_distance,
-    projective_action,
-    rotate_loop,
     section_consistency_search,
     section_residual,
     stable_direction_loop,
@@ -28,6 +24,7 @@ from cocyclelab import (
     winding_number,
 )
 from cocyclelab.sections import _push
+from cocyclelab.sl2 import _dist
 
 PI = math.pi
 
@@ -117,8 +114,10 @@ def test_loop_value_takes_shorter_arc():
 
 
 def test_max_adjacent_gap_projective():
+    # the gap between samples 0.1 and pi - 0.1 is taken through 0
     loop = ProjectiveLoop(np.tile([0.1, PI - 0.1], 4))
-    assert max_adjacent_gap(loop) == pytest.approx(0.2, abs=1e-12)
+    gaps = _dist(loop.samples, np.roll(loop.samples, -1))
+    assert np.max(gaps) == pytest.approx(0.2, abs=1e-12)
 
 
 # -- winding numbers --------------------------------------------------------------
@@ -176,9 +175,7 @@ def test_winding_needs_resolution():
 
 def test_rotate_loop_adds_windings():
     a, b = smooth_loop(2, seed=4), smooth_loop(-1, seed=5)
-    assert winding_number(rotate_loop(a, b)) == 1
-    with pytest.raises(ValueError):
-        rotate_loop(a, smooth_loop(1, n=64))
+    assert winding_number(ProjectiveLoop(a.samples + b.samples)) == 1
 
 
 # -- degree of the twist ----------------------------------------------------------

@@ -7,19 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _util import as_array, mat_gap, random_sl2
-from cocyclelab import (
-    Mat2,
-    NumericOverflowError,
-    ProjPoint,
-    is_hyperbolic,
-    mat_product,
-    op_norm,
-    proj_distance,
-    projective_action,
-    projective_derivative,
-    svd2,
-)
+from _util import as_array, det, mat_gap, proj_distance, projective_action, random_sl2
+from cocyclelab import Mat2, NumericOverflowError, ProjPoint, mat_product, op_norm
 from cocyclelab.sl2 import DET_TOL, _s_max, _svd_raw
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -37,7 +26,7 @@ def test_identity_and_diagonal():
     assert i.to_rows() == [[1.0, 0.0], [0.0, 1.0]]
     d = Mat2.diagonal(2.0)
     assert d.a == 2.0 and d.d == 0.5 and d.b == d.c == 0.0
-    assert d.det() == pytest.approx(1.0, abs=1e-15)
+    assert det(d) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         Mat2.diagonal(0.0)
     with pytest.raises(ValueError):
@@ -67,7 +56,7 @@ def test_det_renormalized_to_one():
     # constructor divides by sqrt(det): scale-invariant representation
     m = Mat2(3.0, 0.0, 0.0, 3.0)
     assert m.a == pytest.approx(1.0, rel=1e-15)
-    assert m.det() == pytest.approx(1.0, abs=1e-12)
+    assert det(m) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**1000, 2.0**-1000])
@@ -174,7 +163,7 @@ def test_product_closure_det_one(seed):
     for _ in range(20):
         m = m @ random_sl2(rng)
     # det is evaluated with cancellation ~ eps * cond(m); cond = op_norm^2
-    assert abs(m.det() - 1.0) <= 1e-13 * max(1.0, op_norm(m) ** 2)
+    assert abs(det(m) - 1.0) <= 1e-13 * max(1.0, op_norm(m) ** 2)
 
 
 @given(seeds)
@@ -196,7 +185,7 @@ def test_matmul_against_numpy():
 
 def test_trace_and_apply():
     m = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
-    assert m.trace() == 3.0
+    assert m.a + m.d == 3.0
     assert m.apply(1.0, 2.0) == (4.0, 3.0)
 
 
@@ -223,29 +212,29 @@ def test_svd2_reconstruction_and_values():
     rng = np.random.default_rng(17)
     for _ in range(500):
         m = random_sl2(rng, spread=50.0)
-        sv = svd2(m)
+        s_max, s_min, left, right = _svd_raw(m.a, m.b, m.c, m.d)
         ref = np.linalg.svd(as_array(m), compute_uv=False)
-        assert sv.s_max == pytest.approx(float(ref[0]), rel=1e-12)
-        assert sv.s_min == pytest.approx(float(ref[1]), rel=1e-10)
-        assert sv.s_max * sv.s_min == pytest.approx(1.0, abs=1e-9)
-        # v_dir is the most-expanded input direction, u_dir its image
-        vx, vy = sv.v_dir.vector()
-        wx, wy = m.apply(vx, vy)
-        assert math.hypot(wx, wy) == pytest.approx(sv.s_max, rel=1e-9)
-        assert proj_distance(ProjPoint.from_vector(wx, wy), sv.u_dir) <= 1e-7
+        assert s_max == pytest.approx(float(ref[0]), rel=1e-12)
+        assert s_min == pytest.approx(float(ref[1]), rel=1e-10)
+        assert s_max * s_min == pytest.approx(1.0, abs=1e-9)
+        # the most-expanded input direction has angle -right, its image angle left
+        wx, wy = m.apply(*ProjPoint(-right).vector())
+        assert math.hypot(wx, wy) == pytest.approx(s_max, rel=1e-9)
+        assert proj_distance(ProjPoint(math.atan2(wy, wx)), ProjPoint(left)) <= 1e-7
 
 
 def test_svd2_of_rotation_is_degenerate():
-    sv = svd2(Mat2.rotation(1.234))
-    assert sv.s_max == pytest.approx(1.0, abs=1e-15)
-    assert sv.s_min == pytest.approx(1.0, abs=1e-15)
+    r = Mat2.rotation(1.234)
+    s_max, s_min, _, _ = _svd_raw(r.a, r.b, r.c, r.d)
+    assert s_max == pytest.approx(1.0, abs=1e-15)
+    assert s_min == pytest.approx(1.0, abs=1e-15)
 
 
 def test_svd2_diagonal_axes():
-    sv = svd2(Mat2.diagonal(3.0))
-    assert sv.s_max == pytest.approx(3.0)
-    assert sv.v_dir.angle == pytest.approx(0.0, abs=1e-12)
-    assert sv.u_dir.angle == pytest.approx(0.0, abs=1e-12)
+    s_max, _, left, right = _svd_raw(3.0, 0.0, 0.0, 1.0 / 3.0)
+    assert s_max == pytest.approx(3.0)
+    assert ProjPoint(-right).angle == pytest.approx(0.0, abs=1e-12)
+    assert ProjPoint(left).angle == pytest.approx(0.0, abs=1e-12)
 
 
 # -- projective points and metric ---------------------------------------------
@@ -257,17 +246,15 @@ def test_projpoint_normalization():
     assert ProjPoint(-1e-20).angle == 0.0  # -1e-20 % pi rounds up to pi
     with pytest.raises(ValueError):
         ProjPoint(math.nan)
-    with pytest.raises(ValueError):
-        ProjPoint.from_vector(0.0, 0.0)
 
 
 def test_projpoint_vector_round_trip():
     for a in np.linspace(0.0, math.pi, 37, endpoint=False):
         p = ProjPoint(float(a))
         x, y = p.vector()
-        assert proj_distance(ProjPoint.from_vector(x, y), p) <= 1e-12
+        assert proj_distance(ProjPoint(math.atan2(y, x)), p) <= 1e-12
         # antipodal representative names the same projective point
-        assert proj_distance(ProjPoint.from_vector(-x, -y), p) <= 1e-12
+        assert proj_distance(ProjPoint(math.atan2(-y, -x)), p) <= 1e-12
 
 
 @given(angles, angles)
@@ -312,47 +299,3 @@ def test_rotation_acts_as_translation():
         p = ProjPoint(0.3)
         assert projective_action(r, p).angle == pytest.approx((0.3 + t) % math.pi,
                                                               abs=1e-12)
-        assert projective_derivative(r, p) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_derivative_matches_finite_differences():
-    rng = np.random.default_rng(23)
-    h = 1e-6
-    for _ in range(100):
-        m = random_sl2(rng, spread=5.0)
-        a = float(rng.uniform(0.0, math.pi))
-        num = proj_distance(projective_action(m, ProjPoint(a + h)),
-                            projective_action(m, ProjPoint(a - h))) / (2 * h)
-        assert projective_derivative(m, ProjPoint(a)) == pytest.approx(num, rel=1e-4)
-
-
-@given(seeds, angles)
-@settings(max_examples=300, deadline=None)
-def test_derivative_within_condition_number(seed, a):
-    m = sl2_from_seed(seed, spread=30.0)
-    sv = svd2(m)
-    cond = sv.s_max / sv.s_min
-    der = projective_derivative(m, ProjPoint(a))
-    assert 1.0 / cond - 1e-9 <= der <= cond + 1e-9
-
-
-@given(seeds, seeds, angles)
-@settings(max_examples=200, deadline=None)
-def test_derivative_chain_rule(s1, s2, a):
-    m1, m2 = sl2_from_seed(s1), sl2_from_seed(s2)
-    p = ProjPoint(a)
-    lhs = projective_derivative(m1 @ m2, p)
-    rhs = projective_derivative(m1, projective_action(m2, p)) * projective_derivative(m2, p)
-    assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-# -- hyperbolicity ------------------------------------------------------------
-
-def test_is_hyperbolic_cases():
-    assert is_hyperbolic(Mat2.diagonal(2.0))
-    assert not is_hyperbolic(Mat2.rotation(0.4))
-    assert not is_hyperbolic(Mat2.identity())
-    # parabolic shear: trace exactly 2
-    assert not is_hyperbolic(Mat2.from_rows([[1.0, 1.0], [0.0, 1.0]]))
-    # negative-trace hyperbolic
-    assert is_hyperbolic(Mat2.from_rows([[-3.0, 0.0], [0.0, -1.0 / 3.0]]))

@@ -25,11 +25,9 @@ from cocyclelab import (
     cocycle_product,
     degree_obstruction,
     evaluate,
-    extend_itinerary,
     periodic_points,
     rng_from,
     spec_from_json,
-    svd2,
 )
 
 
@@ -37,7 +35,6 @@ SPEC = example_spec()
 INSTANCES = [
     Mat2.identity(),
     ProjPoint(0.3),
-    svd2(Mat2.diagonal(2.0)),
     TwistTerm(1, 0.1, 0.0),
     SPEC,
     cocycle_product(SPEC, example_map(), 0.25, 4),
@@ -120,7 +117,6 @@ INTEGER_FIELDS = {
     "ExpandingMap.k": lambda v: ExpandingMap(v),
     "BackwardItinerary.k": lambda v: BackwardItinerary(v, 0.5, ()),
     "BackwardItinerary.digits": lambda v: BackwardItinerary(3, 0.5, (0, v)),
-    "extend_itinerary digits": lambda v: extend_itinerary(BackwardItinerary(3, 0.5, ()), (v,)),
     "TwistTerm.freq": lambda v: TwistTerm(v, 0.1, 0.0),
     "CocycleSpec.winding": lambda v: CocycleSpec(SPEC.base, winding=v),
     "rng_from component": lambda v: rng_from(1, v),
