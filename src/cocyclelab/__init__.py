@@ -79,7 +79,6 @@ from .sections import (
 from .sl2 import (
     Mat2,
     ProjPoint,
-    mat_product,
     op_norm,
 )
 

@@ -364,8 +364,7 @@ def cmd_scan_periodic(cfg, spec, map_):
         # raw entries, not Mat2: its sqrt(det) rescaling is cancellation noise for large factors
         a, b, c, d = 1.0, 0.0, 0.0, 1.0
         for p in orbit:
-            e = evaluate(spec, p.as_float())
-            a, b, c, d = _mul(e.a, e.b, e.c, e.d, a, b, c, d)
+            a, b, c, d = _mul(*evaluate(spec, p.as_float()), a, b, c, d)
         trace = a + d
         if not math.isfinite(trace):  # a non-finite entry reaches a or d
             raise NumericOverflowError(f"orbit product at {orbit[0].x} left float range")
@@ -476,13 +475,12 @@ def cmd_natext(cfg, spec, map_):
     real = build_realization(map_, grid_n=cfg["grid"])
     depth = cfg["depth"]
     max_resid = 0.0
-    bound = real.lam**depth
     for i in range(cfg["samples"]):
         rng = rng_from(cfg["seed"], i)
         x0 = aligned_anchor(real, rng)
         digits = tuple(int(d) for d in rng.integers(0, map_.k, size=depth))
         it = BackwardItinerary(map_.k, x0, digits)
-        resid, b = conjugacy_residual(real, it)
+        resid, bound = conjugacy_residual(real, it)
         max_resid = max(max_resid, resid)
     ok = max_resid <= bound
     results = {

@@ -204,12 +204,12 @@ def spec_from_json(data: dict) -> CocycleSpec:
         raise ValueError(f"malformed cocycle description: {e}") from e
 
 
-def evaluate(spec: CocycleSpec, x: float) -> Mat2:
-    """The cocycle matrix at x."""
+def evaluate(spec: CocycleSpec, x: float) -> tuple[float, float, float, float]:
+    """The entries (a, b, c, d) of the cocycle matrix at x, as _entries gives them."""
     ang = TWO_PI * spec.twist(x)
     cs, sn = math.cos(ang), math.sin(ang)
     b = spec.base
-    return Mat2(*_mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs))
+    return _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs)
 
 
 def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
@@ -470,8 +470,8 @@ def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
 def phi(spec: CocycleSpec, x: float, p: ProjPoint) -> float:
     """log |A(x) v| for the unit representative v of p."""
     vx, vy = p.vector()
-    wx, wy = evaluate(spec, x).apply(vx, vy)
-    return math.log(math.hypot(wx, wy))
+    a, b, c, d = evaluate(spec, x)
+    return math.log(math.hypot(a * vx + b * vy, c * vx + d * vy))
 
 
 def oseledets_stable_direction(spec: CocycleSpec, m: ExpandingMap, x: float,
@@ -533,9 +533,9 @@ def c0_distance(s1: CocycleSpec, s2: CocycleSpec, grid_n: int = 4096) -> C0Gap:
     best = 0.0
     for j in range(grid_n):
         x = j / grid_n
-        a = evaluate(s1, x)
-        b = evaluate(s2, x)
-        s_max = _s_max(a.a - b.a, a.b - b.b, a.c - b.c, a.d - b.d)
+        a1, b1, c1, d1 = evaluate(s1, x)
+        a2, b2, c2, d2 = evaluate(s2, x)
+        s_max = _s_max(a1 - a2, b1 - b2, c1 - c2, d1 - d2)
         if s_max > best:
             best = s_max
     pad = (s1.lipschitz() + s2.lipschitz()) * 0.5 / grid_n
@@ -567,7 +567,7 @@ def u_bunching_check(spec: CocycleSpec, m: ExpandingMap, theta: float | None = N
         raise ValueError("grid_n must be >= 2")
     grid_norm = 0.0
     for j in range(grid_n):
-        grid_norm = max(grid_norm, op_norm(evaluate(spec, j / grid_n)))
+        grid_norm = max(grid_norm, _s_max(*evaluate(spec, j / grid_n)))
     # |A^-1| = |A| in SL(2); rounding is monotone, so squaring the largest
     # norm gives the largest square
     grid_cond = grid_norm * grid_norm

@@ -140,10 +140,8 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
 
         # extend both factored products one level down the leaf: P <- P . A(z)
         ym = (xm + delta) % 1.0
-        ax = evaluate(spec, xm)
-        xa, xb, xc, xd, sx = _product_step(ax.a, ax.b, ax.c, ax.d, sx, xa, xb, xc, xd)
-        ay = evaluate(spec, ym)
-        ya, yb, yc, yd, sy = _product_step(ay.a, ay.b, ay.c, ay.d, sy, ya, yb, yc, yd)
+        xa, xb, xc, xd, sx = _product_step(*evaluate(spec, xm), sx, xa, xb, xc, xd)
+        ya, yb, yc, yd, sy = _product_step(*evaluate(spec, ym), sy, ya, yb, yc, yd)
 
     h = _as_group_element(ha, hb, hc, hd, converged)
     return HolonomyResult(h, depth_used, residuals[-1], converged, tuple(residuals))
@@ -180,8 +178,8 @@ def holonomy_equivariance_residual(spec: CocycleSpec, m: ExpandingMap,
         raise HolonomyDivergedError(
             "holonomy limit did not converge; equivariance residual undefined"
         )
-    ax = evaluate(spec, x_it.x0)
-    ay = evaluate(spec, y_it.x0)
+    ax = Mat2(*evaluate(spec, x_it.x0))
+    ay = Mat2(*evaluate(spec, y_it.x0))
     lhs = ay @ here.h
     rhs = ahead.h @ ax
     return _s_max(lhs.a - rhs.a, lhs.b - rhs.b, lhs.c - rhs.c, lhs.d - rhs.d)

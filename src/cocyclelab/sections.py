@@ -75,7 +75,7 @@ def winding_number(loop: ProjectiveLoop) -> int:
 
 def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Angles of A(x) v(t) in [0, pi), one per point (x, t) of xs and angles in [0, pi)."""
-    return _wrap(np.array([_pushed_angle(evaluate(spec, x), t)
+    return _wrap(np.array([_pushed_angle(*evaluate(spec, x), t)
                            for x, t in zip(xs.tolist(), angles.tolist())]))
 
 

@@ -1,20 +1,20 @@
 """Exact-ish SL(2,R) arithmetic and the rules on projective directions.
 
 Mat2 is the validated det = 1 type for inputs and single evaluations:
-it renormalizes by sqrt(det) at construction.  A valid Mat2 costs one
-determinant: within DET_TOL of 1 the entries are kept as given.  Only the
-rest are checked for finiteness and renormalized, after an exact
-power-of-two scale when det over- or underflows.  Value types,
-here and across the package, are slotted frozen dataclasses, with no
-per-instance __dict__.  Computed products are kept as raw entries (_mul)
-or as cocycle.ScaledMatrix, not as chains of Mat2: for a product of
-large matrices the determinant is cancellation noise.  _mul_stacked is
-_mul's twin for entries stacked in one (2, 2, ...) array, with _mul's
-bits; it serves cocycle._reduce only.  Directions in
-RP^1 are angles in [0, pi); each rule on them is written once, here, on
-floats or arrays: the wrap (_wrap), the signed shorter-arc step (_arc),
-the metric min(|p - q|, pi - |p - q|) (_dist) and the angle of
-M (cos t, sin t) (_pushed_angle, one float).  ProjPoint is the validated
+its one constructor refuses an entry that is not a real number (a bool,
+a string, None), checks the entries for finiteness and renormalizes by
+sqrt(det), after an exact power-of-two scale when det over- or
+underflows.  Value types, here and across the package, are slotted
+frozen dataclasses, with no per-instance __dict__.  Per-point
+evaluations and computed products are kept as raw entries (_mul) or as
+cocycle.ScaledMatrix, not as Mat2: for a product of large matrices the
+determinant is cancellation noise.  _mul_stacked is _mul's twin for
+entries stacked in one (2, 2, ...) array, with _mul's bits; it serves
+cocycle._reduce only.  Directions in RP^1 are angles in [0, pi); each
+rule on them is written once, here, on floats or arrays: the wrap
+(_wrap), the signed shorter-arc step (_arc), the metric
+min(|p - q|, pi - |p - q|) (_dist) and the angle of M (cos t, sin t)
+for M's entries (_pushed_angle, one float).  ProjPoint is the validated
 scalar type; projective loops carry plain float arrays.
 """
 
@@ -60,9 +60,9 @@ class Mat2:
     d: float
 
     def __post_init__(self):
-        # one determinant decides a valid matrix: a non-finite entry makes it inf or nan
-        if abs(self.a * self.d - self.b * self.c - 1.0) <= DET_TOL:
-            return
+        for name, v in zip("abcd", (self.a, self.b, self.c, self.d)):
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"matrix entry {name} must be a real number, got {v!r}")
         a, b, c, d = _renorm(self.a, self.b, self.c, self.d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -81,11 +81,6 @@ class Mat2:
         return Mat2(s, 0.0, 0.0, 1.0 / s)
 
     @staticmethod
-    def rotation(angle: float) -> "Mat2":
-        c, s = math.cos(angle), math.sin(angle)
-        return Mat2(c, -s, s, c)
-
-    @staticmethod
     def from_rows(rows) -> "Mat2":
         (a, b), (c, d) = rows
         return Mat2(*(_real("matrix entry", v) for v in (a, b, c, d)))
@@ -97,11 +92,9 @@ class Mat2:
         # adjugate; det is already 1
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return self.a * x + self.b * y, self.c * x + self.d * y
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return mat_product(self, other)
+        """self @ other.  Raises NumericOverflowError if entries leave float range."""
+        return Mat2(*_mul(self.a, self.b, self.c, self.d, other.a, other.b, other.c, other.d))
 
 
 def _mul(a1, b1, c1, d1, a2, b2, c2, d2):
@@ -121,11 +114,6 @@ def _mul_stacked(left, right):
 def _s_max(a: float, b: float, c: float, d: float) -> float:
     """Largest singular value: hypot((a+d)/2,(c-b)/2) + hypot((a-d)/2,(c+b)/2)."""
     return (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) * 0.5
-
-
-def mat_product(m1: Mat2, m2: Mat2) -> Mat2:
-    """m1 @ m2.  Raises NumericOverflowError if entries leave float range."""
-    return Mat2(*_mul(m1.a, m1.b, m1.c, m1.d, m2.a, m2.b, m2.c, m2.d))
 
 
 def op_norm(m: Mat2) -> float:
@@ -150,10 +138,10 @@ def _dist(p, q):
     return np.minimum(d, PI - d)
 
 
-def _pushed_angle(m: Mat2, t: float) -> float:
-    """atan2 of m (cos t, sin t), before wrapping."""
+def _pushed_angle(a: float, b: float, c: float, d: float, t: float) -> float:
+    """atan2 of [[a, b], [c, d]] (cos t, sin t), before wrapping."""
     x, y = math.cos(t), math.sin(t)
-    return math.atan2(m.c * x + m.d * y, m.a * x + m.b * y)
+    return math.atan2(c * x + d * y, a * x + b * y)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,7 @@
 """Shared generators and assertions for the test suite."""
 
+import math
+
 import numpy as np
 
 from cocyclelab import (BackwardItinerary, CocycleSpec, ExpandingMap, Mat2, ProjPoint,
@@ -18,11 +20,17 @@ def example_map(k: int = 8) -> ExpandingMap:
     return ExpandingMap(k)
 
 
+def rotation(angle: float) -> Mat2:
+    """R(angle) = [[cos, -sin], [sin, cos]]."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Mat2(c, -s, s, c)
+
+
 def random_sl2(rng: np.random.Generator, spread: float = 2.0) -> Mat2:
     """Haar-ish SL(2) sample: rotation * diag(s, 1/s) * rotation."""
     s = float(np.exp(rng.uniform(0.0, np.log(spread))))
-    u = Mat2.rotation(float(rng.uniform(0.0, 2.0 * np.pi)))
-    w = Mat2.rotation(float(rng.uniform(0.0, 2.0 * np.pi)))
+    u = rotation(float(rng.uniform(0.0, 2.0 * np.pi)))
+    w = rotation(float(rng.uniform(0.0, 2.0 * np.pi)))
     return u @ Mat2.diagonal(s) @ w
 
 
@@ -46,7 +54,7 @@ def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
 
 def projective_action(m: Mat2, p: ProjPoint) -> ProjPoint:
     """The direction of m v for v in the direction p, by sl2._pushed_angle."""
-    return ProjPoint(_pushed_angle(m, p.angle))
+    return ProjPoint(_pushed_angle(m.a, m.b, m.c, m.d, p.angle))
 
 
 def sample_unstable_neighbor(it: BackwardItinerary, offset: float) -> BackwardItinerary:

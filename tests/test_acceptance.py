@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import as_array, example_map, example_spec, sample_unstable_neighbor
+from _util import as_array, example_map, example_spec, rotation, sample_unstable_neighbor
 from cocyclelab import (
     BackwardItinerary,
     CocycleSpec,
@@ -80,7 +80,7 @@ def test_criterion_02_degenerate_cocycles_report_zero():
     m = example_map()
     worst = 0.0
     flags = []
-    for base in (Mat2.identity(), Mat2.rotation(0.7)):
+    for base in (Mat2.identity(), rotation(0.7)):
         spec = CocycleSpec(base=base)
         ng = lyapunov_norm_growth(spec, m, n_steps=10_000, n_samples=4)
         worst = max(worst, abs(ng.value))
@@ -187,7 +187,7 @@ def test_criterion_07_periodic_witness(tmp_path):
     witness_found = (code1 == 0 and w is not None and w["period"] == 1
                      and w["x_float"] == 0.0 and w["trace"] == 2.5
                      and w["hyperbolic"])
-    rot_file = write_spec(tmp_path, CocycleSpec(base=Mat2.rotation(0.7)), "rot.json")
+    rot_file = write_spec(tmp_path, CocycleSpec(base=rotation(0.7)), "rot.json")
     _, res_rot, code2 = run_command(
         ["scan-periodic", "--spec", rot_file, "--k", "2", "--max-period", "12"])
     # distinct points of exact period n for n <= 12, k = 2: Moebius sums

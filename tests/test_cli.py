@@ -265,8 +265,7 @@ def test_scan_periodic_large_base_traces(tmp_path):
         x = Fraction(row["representative"])
         a, b, c, d = 1, 0, 0, 1
         for _ in range(int(row["period"])):
-            m = evaluate(spec, float(x))
-            ea, eb, ec, ed = map(Fraction, (m.a, m.b, m.c, m.d))
+            ea, eb, ec, ed = map(Fraction, evaluate(spec, float(x)))
             a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
             x = (2 * x) % 1
         assert abs(float(row["trace"]) - (a + d)) <= 1e-12 * abs(a + d), row

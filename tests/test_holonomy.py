@@ -43,8 +43,8 @@ def naive_holonomy(spec, m, x_it, depth: int, delta0: float) -> np.ndarray:
         delta /= m.k
         xm = xs[j]
         ym = (xm + delta) % 1.0
-        px = px @ as_array(evaluate(spec, xm))
-        py = py @ as_array(evaluate(spec, ym))
+        px = px @ np.reshape(evaluate(spec, xm), (2, 2))
+        py = py @ np.reshape(evaluate(spec, ym), (2, 2))
     return py @ np.linalg.inv(px)
 
 

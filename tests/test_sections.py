@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _util import example_map, example_spec, proj_distance, projective_action
+from _util import example_map, example_spec, proj_distance, rotation
 from cocyclelab import (
     CocycleSpec,
     ExpandingMap,
@@ -24,7 +24,7 @@ from cocyclelab import (
     winding_number,
 )
 from cocyclelab.sections import _push
-from cocyclelab.sl2 import _dist
+from cocyclelab.sl2 import _dist, _pushed_angle
 
 PI = math.pi
 
@@ -180,17 +180,18 @@ def test_rotate_loop_adds_windings():
 
 # -- degree of the twist ----------------------------------------------------------
 
-def pushed_by_floats(m: Mat2, t: float) -> float:
-    """The angle of m (cos t, sin t) mod pi, written out in Python floats."""
+def pushed_by_floats(m: tuple[float, float, float, float], t: float) -> float:
+    """The angle of m (cos t, sin t) mod pi for m's entries, written out in Python floats."""
+    ma, mb, mc, md = m
     x, y = math.cos(t), math.sin(t)
-    a = math.atan2(m.c * x + m.d * y, m.a * x + m.b * y) % PI
+    a = math.atan2(mc * x + md * y, ma * x + mb * y) % PI
     return 0.0 if a >= PI else a
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
 @pytest.mark.parametrize("perturbed", [False, True], ids=["example", "perturbed"])
 def test_push_matches_projective_action_bitwise(k, perturbed):
-    """_push on float angles against the ProjPoint/projective_action path per point."""
+    """_push on float angles against ProjPoint(_pushed_angle(...)) and plain floats per point."""
     spec = perturb(example_spec(), 0.05, seed=(9, k)) if perturbed else example_spec()
     assert len(spec.terms) == (8 if perturbed else 0)
     rng = np.random.default_rng([17, k])
@@ -200,7 +201,7 @@ def test_push_matches_projective_action_bitwise(k, perturbed):
     got = _push(spec, xs, angles)
     assert np.all((0.0 <= got) & (got < PI))
     points = list(zip(xs.tolist(), angles.tolist()))
-    by_action = [projective_action(evaluate(spec, x), ProjPoint(t)).angle for x, t in points]
+    by_action = [ProjPoint(_pushed_angle(*evaluate(spec, x), t)).angle for x, t in points]
     for want in (by_action, [pushed_by_floats(evaluate(spec, x), t) for x, t in points]):
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
@@ -213,7 +214,7 @@ def test_twist_degree_of_example_is_two():
 
 def test_twist_degree_constant_and_winding_scaling():
     assert twist_degree(CocycleSpec(base=Mat2.diagonal(2.0))) == 0
-    assert twist_degree(CocycleSpec(base=Mat2.rotation(0.3), winding=-1)) == -2
+    assert twist_degree(CocycleSpec(base=rotation(0.3), winding=-1)) == -2
     assert twist_degree(CocycleSpec(base=Mat2.diagonal(2.0), winding=3), grid_n=8) == 6
 
 
@@ -263,7 +264,7 @@ def test_stable_direction_loop_constant_cocycle():
 
 
 def test_stable_direction_loop_without_gap_is_constant():
-    loop = stable_direction_loop(CocycleSpec(base=Mat2.rotation(0.7)),
+    loop = stable_direction_loop(CocycleSpec(base=rotation(0.7)),
                                  example_map(), grid_n=64, direction_steps=32)
     assert np.all(loop.samples == 0.0)
 
@@ -318,7 +319,7 @@ def test_search_residual_stays_large_at_k2_too():
 def test_search_rotation_control():
     # a constant rotation moves every direction by its angle; the spread
     # of candidate directions at any point is exactly that angle
-    rot = CocycleSpec(base=Mat2.rotation(0.7))
+    rot = CocycleSpec(base=rotation(0.7))
     loop, resid = section_consistency_search(rot, example_map(), grid_n=256,
                                              n_iterations=30, direction_steps=64)
     assert resid == pytest.approx(0.7, abs=1e-9)
@@ -333,7 +334,7 @@ def residual_by_points(spec, m, loop):
         cands = [ProjPoint(loop.samples[j])]
         for d in range(m.k):
             x = (y + d) / m.k
-            cands.append(projective_action(evaluate(spec, x), ProjPoint(loop.value(x))))
+            cands.append(ProjPoint(_pushed_angle(*evaluate(spec, x), loop.value(x))))
         for i in range(len(cands)):
             for l in range(i + 1, len(cands)):
                 worst = max(worst, proj_distance(cands[i], cands[l]))

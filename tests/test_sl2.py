@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _util import as_array, det, mat_gap, proj_distance, projective_action, random_sl2
-from cocyclelab import Mat2, NumericOverflowError, ProjPoint, mat_product, op_norm
-from cocyclelab.sl2 import DET_TOL, _s_max, _svd_raw
+from _util import (as_array, det, mat_gap, proj_distance, projective_action, random_sl2,
+                   rotation)
+from cocyclelab import Mat2, NumericOverflowError, ProjPoint, op_norm
+from cocyclelab.sl2 import DET_TOL, _pushed_angle, _s_max, _svd_raw
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -34,7 +35,7 @@ def test_identity_and_diagonal():
 
 
 def test_rotation_entries():
-    r = Mat2.rotation(math.pi / 2)
+    r = rotation(math.pi / 2)
     assert r.a == pytest.approx(0.0, abs=1e-15)
     assert r.b == -1.0 and r.c == 1.0
 
@@ -50,6 +51,14 @@ def test_rejects_singular_and_nonfinite():
         Mat2(math.nan, 0.0, 0.0, 1.0)
     with pytest.raises(NumericOverflowError):
         Mat2(math.inf, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.25", None], ids=repr)
+def test_rejects_entries_that_are_not_real_numbers(bad):
+    with pytest.raises(ValueError, match=f"matrix entry a must be a real number, got {bad!r}"):
+        Mat2(bad, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="matrix entry d"):
+        Mat2(1.0, 0.0, 0.0, bad)
 
 
 def test_det_renormalized_to_one():
@@ -82,8 +91,9 @@ def test_det_out_of_float_range_keeps_shape_and_sign():
 
 
 def _construct_before_fast_path(a, b, c, d):
-    """Mat2 construction as it was before the one-determinant check:
-    finiteness, then det > 0, then renormalize, then set all four entries."""
+    """Mat2 construction written out on its own, without a one-determinant
+    shortcut: finiteness, then det > 0, then renormalize, then set all
+    four entries."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise NumericOverflowError("non-finite matrix entries; use scaled products for long chains")
     det = a * d - b * c
@@ -180,13 +190,14 @@ def test_matmul_against_numpy():
         m1, m2 = random_sl2(rng), random_sl2(rng)
         np.testing.assert_allclose(
             as_array(m1 @ m2), as_array(m1) @ as_array(m2), rtol=0, atol=1e-12)
-    assert mat_product(m1, m2).to_rows() == (m1 @ m2).to_rows()
 
 
 def test_trace_and_apply():
     m = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
     assert m.a + m.d == 3.0
-    assert m.apply(1.0, 2.0) == (4.0, 3.0)
+    # m (1, 2) = (4, 3), read as directions
+    assert _pushed_angle(m.a, m.b, m.c, m.d, math.atan2(2.0, 1.0)) == pytest.approx(
+        math.atan2(3.0, 4.0), rel=1e-15)
 
 
 # -- operator norm and SVD ----------------------------------------------------
@@ -218,13 +229,14 @@ def test_svd2_reconstruction_and_values():
         assert s_min == pytest.approx(float(ref[1]), rel=1e-10)
         assert s_max * s_min == pytest.approx(1.0, abs=1e-9)
         # the most-expanded input direction has angle -right, its image angle left
-        wx, wy = m.apply(*ProjPoint(-right).vector())
+        vx, vy = ProjPoint(-right).vector()
+        wx, wy = m.a * vx + m.b * vy, m.c * vx + m.d * vy
         assert math.hypot(wx, wy) == pytest.approx(s_max, rel=1e-9)
         assert proj_distance(ProjPoint(math.atan2(wy, wx)), ProjPoint(left)) <= 1e-7
 
 
 def test_svd2_of_rotation_is_degenerate():
-    r = Mat2.rotation(1.234)
+    r = rotation(1.234)
     s_max, s_min, _, _ = _svd_raw(r.a, r.b, r.c, r.d)
     assert s_max == pytest.approx(1.0, abs=1e-15)
     assert s_min == pytest.approx(1.0, abs=1e-15)
@@ -295,7 +307,7 @@ def test_action_fixed_points_of_diagonal():
 
 def test_rotation_acts_as_translation():
     for t in (0.1, 0.7, 2.0):
-        r = Mat2.rotation(t)
+        r = rotation(t)
         p = ProjPoint(0.3)
         assert projective_action(r, p).angle == pytest.approx((0.3 + t) % math.pi,
                                                               abs=1e-12)

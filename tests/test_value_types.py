@@ -29,6 +29,7 @@ from cocyclelab import (
     rng_from,
     spec_from_json,
 )
+from cocyclelab.cli import main
 
 
 SPEC = example_spec()
@@ -93,9 +94,8 @@ def test_boundary_methods_stay_in_the_class_dict(cls, name):
     assert inspect.isfunction(vars(cls)[name])
 
 
-def test_evaluate_builds_one_mat2_per_call(monkeypatch):
-    xs = [j / 64 for j in range(64)]
-    expected = [evaluate(SPEC, x).to_rows() for x in xs]
+def count_mat2(monkeypatch) -> list:
+    """A list that gains one item per Mat2 built from here on, by a monkeypatched __post_init__."""
     calls = []
     post_init = vars(Mat2)["__post_init__"]
 
@@ -104,8 +104,39 @@ def test_evaluate_builds_one_mat2_per_call(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Mat2, "__post_init__", counted)
-    assert [evaluate(SPEC, x).to_rows() for x in xs] == expected
-    assert len(calls) == len(xs)
+    return calls
+
+
+def test_evaluate_builds_no_mat2(monkeypatch):
+    xs = [j / 64 for j in range(64)]
+    calls = count_mat2(monkeypatch)
+    for x in xs:
+        evaluate(SPEC, x)
+    assert calls == []
+
+
+# each command at two sizes of its grid, trial count or period bound
+SIZED_RUNS = {
+    "section": [["--grid", str(n), "--iterations", "2", "--direction-steps", "32",
+                 "--restarts", "1"] for n in (64, 128)],
+    "bunching": [["--grid", str(n)] for n in (64, 256)],
+    "scan-periodic": [["--max-period", str(n)] for n in (2, 4)],
+    "robustness": [["--trials", str(n), "--steps", "100", "--samples", "1", "--c0-grid", "64"]
+                   for n in (1, 3)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIZED_RUNS))
+def test_mat2_count_does_not_grow_with_the_run(command, monkeypatch, tmp_path):
+    """Per-point work reads raw entries: the Mat2 a command builds are its
+    inputs, so their number is the same at either size."""
+    calls = count_mat2(monkeypatch)
+    counts = []
+    for args in SIZED_RUNS[command]:
+        before = len(calls)
+        assert main([command, *args, "--out", str(tmp_path / "report.json")]) == 0
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1]
 
 
 # -- numeric fields are validated, never coerced ------------------------------------------
