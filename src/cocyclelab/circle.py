@@ -173,13 +173,19 @@ def orbit_from_digits(k: int, digits, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class PeriodicPoint:
-    """x = j/(k^n - 1) with minimal period n, held exactly."""
+    """x = numerator/(k^n - 1) with minimal period n, held as ints; as_float
+    divides them, which Python rounds correctly, so it is float(x)."""
 
-    x: Fraction
+    numerator: int
+    denominator: int
     period: int
 
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
     def as_float(self) -> float:
-        return float(self.x)
+        return self.numerator / self.denominator
 
 
 def periodic_points(m: ExpandingMap, max_period: int) -> list[PeriodicPoint]:
@@ -209,7 +215,7 @@ def periodic_points(m: ExpandingMap, max_period: int) -> list[PeriodicPoint]:
                 cycle.append(y)
                 y = y * k % denom
             if y == j and len(cycle) == n:
-                out.extend(PeriodicPoint(Fraction(i, denom), n) for i in cycle)
+                out.extend(PeriodicPoint(i, denom, n) for i in cycle)
     return out
 
 

@@ -357,10 +357,8 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
 
     def blocks(x):
         for lo in range(0, n, _BLOCK):
-            xs = []
-            for _ in range(min(_BLOCK, n - lo)):
-                xs.append(x)
-                x = (k * x) % 1.0
+            xs = [x] + [x := (k * x) % 1.0 for _ in range(min(_BLOCK, n - lo) - 1)]
+            x = (k * x) % 1.0
             yield xs
 
     return _product_of_blocks(spec, blocks(x))

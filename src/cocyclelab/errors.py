@@ -4,7 +4,8 @@ Plain ValueError is reserved for malformed arguments (bad ranges, wrong
 shapes).  The classes below mark conditions that are legitimate outcomes
 of a computation rather than caller mistakes.  _integral and _real are
 the checks every layer runs on numeric inputs: they accept a number and
-never coerce a bool or a string into one.
+never coerce a bool or a string into one (_as_float converts for both
+_real and Mat2, which reports a non-finite entry as NumericOverflowError).
 """
 
 import math
@@ -23,17 +24,21 @@ def _integral(name: str, v) -> int:
     raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def _real(name: str, v) -> float:
-    """v as a float if it is a finite int, float or numpy real; never a bool."""
-    if type(v) is float and math.isfinite(v):
-        return v
+def _as_float(v) -> float | None:
+    """v as a float (inf past the float range) if an int, float or numpy real; else None."""
     if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
         try:
-            x = float(v)
+            return float(v)
         except OverflowError:  # an int past the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
+            return math.inf
+    return None
+
+
+def _real(name: str, v) -> float:
+    """v as a float if it is a finite int, float or numpy real; never a bool."""
+    x = v if type(v) is float else _as_float(v)
+    if x is not None and math.isfinite(x):
+        return x
     raise ValueError(f"{name} must be a finite real number, got {v!r}")
 
 

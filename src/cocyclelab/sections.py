@@ -19,7 +19,7 @@ import numpy as np
 from .circle import ExpandingMap
 from .cocycle import CocycleSpec, evaluate, oseledets_stable_direction, rng_from
 from .errors import DegreeCheckError, NoHyperbolicityError, ResolutionError
-from .sl2 import PI, _arc, _dist, _pushed_angle, _wrap
+from .sl2 import PI, _arc, _dist, _pushed_angles, _wrap
 
 MAX_GAP = PI / 4.0
 
@@ -75,8 +75,8 @@ def winding_number(loop: ProjectiveLoop) -> int:
 
 def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Angles of A(x) v(t) in [0, pi), one per point (x, t) of xs and angles in [0, pi)."""
-    return _wrap(np.array([_pushed_angle(*evaluate(spec, x), t)
-                           for x, t in zip(xs.tolist(), angles.tolist())]))
+    entries = (evaluate(spec, x) for x in xs.tolist())  # one evaluate per point, as it is read
+    return _wrap(np.array(_pushed_angles(entries, angles.tolist())))
 
 
 def _action_loop(spec: CocycleSpec, angle: float, grid_n: int) -> ProjectiveLoop:

@@ -2,10 +2,10 @@
 
 Mat2 is the validated det = 1 type for inputs and single evaluations:
 its one constructor refuses an entry that is not a real number (a bool,
-a string, None), checks the entries for finiteness and renormalizes by
-sqrt(det), after an exact power-of-two scale when det over- or
-underflows.  Value types, here and across the package, are slotted
-frozen dataclasses, with no per-instance __dict__.  Per-point
+a string, None), stores floats, checks them for finiteness and
+renormalizes by sqrt(det), after an exact power-of-two scale when det
+over- or underflows.  Value types, here and across the package, are
+slotted frozen dataclasses, with no per-instance __dict__.  Per-point
 evaluations and computed products are kept as raw entries (_mul) or as
 cocycle.ScaledMatrix, not as Mat2: for a product of large matrices the
 determinant is cancellation noise.  _mul_stacked is _mul's twin for
@@ -13,9 +13,9 @@ entries stacked in one (2, 2, ...) array, with _mul's bits; it serves
 cocycle._reduce only.  Directions in RP^1 are angles in [0, pi); each
 rule on them is written once, here, on floats or arrays: the wrap
 (_wrap), the signed shorter-arc step (_arc), the metric
-min(|p - q|, pi - |p - q|) (_dist) and the angle of M (cos t, sin t)
-for M's entries (_pushed_angle, one float).  ProjPoint is the validated
-scalar type; projective loops carry plain float arrays.
+min(|p - q|, pi - |p - q|) (_dist) and the angles of M (cos t, sin t)
+over a stream of entry tuples (_pushed_angles, math.atan2 per point).
+ProjPoint is the validated scalar type; loops carry plain float arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, _real
+from .errors import NumericOverflowError, _as_float, _real
 
 DET_TOL = 1e-9
 PI = math.pi
@@ -60,10 +60,11 @@ class Mat2:
     d: float
 
     def __post_init__(self):
-        for name, v in zip("abcd", (self.a, self.b, self.c, self.d)):
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        entries = [_as_float(v) for v in (self.a, self.b, self.c, self.d)]
+        for name, v, x in zip("abcd", (self.a, self.b, self.c, self.d), entries):
+            if x is None:
                 raise ValueError(f"matrix entry {name} must be a real number, got {v!r}")
-        a, b, c, d = _renorm(self.a, self.b, self.c, self.d)
+        a, b, c, d = _renorm(*entries)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -138,10 +139,11 @@ def _dist(p, q):
     return np.minimum(d, PI - d)
 
 
-def _pushed_angle(a: float, b: float, c: float, d: float, t: float) -> float:
-    """atan2 of [[a, b], [c, d]] (cos t, sin t), before wrapping."""
-    x, y = math.cos(t), math.sin(t)
-    return math.atan2(c * x + d * y, a * x + b * y)
+def _pushed_angles(entries, ts) -> list[float]:
+    """atan2 of [[a, b], [c, d]] (cos t, sin t), before wrapping, per entry tuple and
+    angle; entries (a generator, say) is read first, so once per t of an equal-length ts."""
+    return [math.atan2(c * x + d * y, a * x + b * y)
+            for (a, b, c, d), t in zip(entries, ts) for x, y in ((math.cos(t), math.sin(t)),)]
 
 
 @dataclass(frozen=True, slots=True)

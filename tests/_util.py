@@ -6,7 +6,7 @@ import numpy as np
 
 from cocyclelab import (BackwardItinerary, CocycleSpec, ExpandingMap, Mat2, ProjPoint,
                         full_twist_spec)
-from cocyclelab.sl2 import _dist, _pushed_angle
+from cocyclelab.sl2 import _dist, _pushed_angles
 
 BASE = Mat2.diagonal(2.0)
 
@@ -53,8 +53,8 @@ def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
 
 
 def projective_action(m: Mat2, p: ProjPoint) -> ProjPoint:
-    """The direction of m v for v in the direction p, by sl2._pushed_angle."""
-    return ProjPoint(_pushed_angle(m.a, m.b, m.c, m.d, p.angle))
+    """The direction of m v for v in the direction p, by sl2._pushed_angles."""
+    return ProjPoint(_pushed_angles([(m.a, m.b, m.c, m.d)], [p.angle])[0])
 
 
 def sample_unstable_neighbor(it: BackwardItinerary, offset: float) -> BackwardItinerary:

@@ -297,7 +297,8 @@ def orbits_by_fractions(k: int, max_period: int) -> list[list[PeriodicPoint]]:
             i = cycle.index(min(cycle))
             cycle = cycle[i:] + cycle[:i]
             seen.update(cycle)
-            orbits.append([PeriodicPoint(y, n) for y in cycle])
+            orbits.append([PeriodicPoint(y.numerator * (denom // y.denominator), denom, n)
+                           for y in cycle])
     orbits.sort(key=lambda o: (o[0].period, o[0].x))
     return orbits
 

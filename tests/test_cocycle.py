@@ -311,6 +311,16 @@ def test_spec_json_round_trip():
             spec_from_json({"base": identity, **bad})
 
 
+@pytest.mark.parametrize("base", [Mat2(1, 0, 0, 1), Mat2(2, 1, np.int64(1), 1),
+                                  Mat2(np.float32(2.0), 0, 0, 0.5)], ids=repr)
+def test_spec_json_bytes_survive_a_round_trip(base):
+    # Mat2 stores every entry as a float, so a spec built from ints writes the
+    # bytes of its own round trip
+    text = json.dumps(spec_to_json(CocycleSpec(base=base)))
+    assert json.dumps(spec_to_json(spec_from_json(json.loads(text)))) == text
+    assert all(type(v) is float for row in base.to_rows() for v in row)
+
+
 # -- scaled products ----------------------------------------------------------
 
 def naive_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> np.ndarray:

@@ -125,6 +125,39 @@ def test_sl2_reduction_check_sees_the_wrap():
     assert _angle_reductions(MODULES["sl2.py"])
 
 
+def _arctangents(tree: ast.AST) -> list[int]:
+    """Lines that name atan2 or arctan2, bare or as an attribute (math.atan2, np.arctan2)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id in ("atan2", "arctan2"))
+                  or (isinstance(node, ast.Attribute) and node.attr in ("atan2", "arctan2")))
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "sl2.py"])
+def test_only_sl2_takes_angles_by_atan2(name):
+    # pushed angles (sl2._pushed_angles) and SVD angles (sl2._svd_raw) are
+    # written once, in sl2; np.arctan2 can differ from math.atan2 in the last bit
+    lines = _arctangents(MODULES[name])
+    assert not lines, f"{name}: atan2 or arctan2 at lines {lines}; use sl2._pushed_angles"
+
+
+def test_atan2_check_sees_an_inline_push():
+    # the check must flag a _push that takes atan2 itself, and the np.arctan2
+    # of an array push, and find the ones sl2 holds, or it checks nothing
+    inline_push = (
+        "import math\n"
+        "import numpy as np\n"
+        "def _push(spec, xs, angles):\n"
+        "    out = []\n"
+        "    for x, t in zip(xs.tolist(), angles.tolist()):\n"
+        "        a, b, c, d = evaluate(spec, x)\n"
+        "        out.append(math.atan2(c * math.cos(t) + d * math.sin(t),\n"
+        "                              a * math.cos(t) + b * math.sin(t)))\n"
+        "    return np.arctan2(np.sin(out), np.cos(out))\n"
+    )
+    assert _arctangents(ast.parse(inline_push)) == [7, 9]
+    assert _arctangents(MODULES["sl2.py"])
+
+
 def _keyword_is_true(call: ast.Call, name: str) -> bool:
     return any(k.arg == name and isinstance(k.value, ast.Constant) and k.value.value is True
                for k in call.keywords)

@@ -24,7 +24,7 @@ from cocyclelab import (
     winding_number,
 )
 from cocyclelab.sections import _push
-from cocyclelab.sl2 import _dist, _pushed_angle
+from cocyclelab.sl2 import _dist, _pushed_angles
 
 PI = math.pi
 
@@ -191,7 +191,7 @@ def pushed_by_floats(m: tuple[float, float, float, float], t: float) -> float:
 @pytest.mark.parametrize("k", [2, 3, 8])
 @pytest.mark.parametrize("perturbed", [False, True], ids=["example", "perturbed"])
 def test_push_matches_projective_action_bitwise(k, perturbed):
-    """_push on float angles against ProjPoint(_pushed_angle(...)) and plain floats per point."""
+    """_push on float angles against ProjPoint(_pushed_angles(...)) and plain floats per point."""
     spec = perturb(example_spec(), 0.05, seed=(9, k)) if perturbed else example_spec()
     assert len(spec.terms) == (8 if perturbed else 0)
     rng = np.random.default_rng([17, k])
@@ -201,7 +201,7 @@ def test_push_matches_projective_action_bitwise(k, perturbed):
     got = _push(spec, xs, angles)
     assert np.all((0.0 <= got) & (got < PI))
     points = list(zip(xs.tolist(), angles.tolist()))
-    by_action = [ProjPoint(_pushed_angle(*evaluate(spec, x), t)).angle for x, t in points]
+    by_action = [ProjPoint(_pushed_angles([evaluate(spec, x)], [t])[0]).angle for x, t in points]
     for want in (by_action, [pushed_by_floats(evaluate(spec, x), t) for x, t in points]):
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
@@ -334,7 +334,7 @@ def residual_by_points(spec, m, loop):
         cands = [ProjPoint(loop.samples[j])]
         for d in range(m.k):
             x = (y + d) / m.k
-            cands.append(ProjPoint(_pushed_angle(*evaluate(spec, x), loop.value(x))))
+            cands.append(ProjPoint(_pushed_angles([evaluate(spec, x)], [loop.value(x)])[0]))
         for i in range(len(cands)):
             for l in range(i + 1, len(cands)):
                 worst = max(worst, proj_distance(cands[i], cands[l]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from _util import (as_array, det, mat_gap, proj_distance, projective_action, random_sl2,
                    rotation)
 from cocyclelab import Mat2, NumericOverflowError, ProjPoint, op_norm
-from cocyclelab.sl2 import DET_TOL, _pushed_angle, _s_max, _svd_raw
+from cocyclelab.sl2 import DET_TOL, _pushed_angles, _s_max, _svd_raw
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -90,10 +90,12 @@ def test_det_out_of_float_range_keeps_shape_and_sign():
         Mat2(0.0, 0.0, 0.0, 0.0)
 
 
-def _construct_before_fast_path(a, b, c, d):
-    """Mat2 construction written out on its own, without a one-determinant
-    shortcut: finiteness, then det > 0, then renormalize, then set all
-    four entries."""
+def _sqrt_det_renormalization(a, b, c, d):
+    """The construction rule written out for a det inside float range:
+    entries as floats, finiteness, then det > 0, then divide by sqrt(det)
+    unless det is within DET_TOL of 1.  Mat2 adds a power-of-two rescale
+    only when det leaves float range (test_det_out_of_float_range_*)."""
+    a, b, c, d = (float(v) for v in (a, b, c, d))
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise NumericOverflowError("non-finite matrix entries; use scaled products for long chains")
     det = a * d - b * c
@@ -120,7 +122,7 @@ _NONFINITE = [
     tuple(bad if i == j else (1.0, 0.0, 0.0, 1.0)[j] for j in range(4))
     for bad in (math.nan, math.inf, -math.inf) for i in range(4)
 ]
-FAST_PATH_CASES = [
+RENORMALIZATION_CASES = [
     (1.0, 0.0, 0.0, 1.0),  # det exactly 1
     (2.0, 3.0, 1.0, 2.0),
     (2.0, 0.0, 0.0, 0.5),
@@ -139,7 +141,7 @@ FAST_PATH_CASES = [
     (0.0, 1.0, 1.0, 0.0),
     (1.0, 0.0, 0.0, -1e-300),
     *_NONFINITE,
-    (1, 0, 0, 1),  # integers stay as given
+    (1, 0, 0, 1),  # integers are stored as floats
     (2, 1, 1, 1),
     (1, 5, 0, 1),
     (2, 0, 0, 1),  # integer det 2: renormalized to floats
@@ -147,22 +149,24 @@ FAST_PATH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("entries", FAST_PATH_CASES, ids=repr)
+@pytest.mark.parametrize("entries", RENORMALIZATION_CASES, ids=repr)
 def test_fast_path_matches_construction_before_it(entries):
-    assert _outcome(Mat2, entries) == _outcome(_construct_before_fast_path, entries)
+    """Mat2 equals the sqrt(det) renormalization of its entries as floats."""
+    assert _outcome(Mat2, entries) == _outcome(_sqrt_det_renormalization, entries)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=4),
        st.integers(min_value=-12, max_value=0))
 @settings(max_examples=300, deadline=None)
 def test_fast_path_matches_construction_before_it_near_det_one(entries, log_off):
+    """Mat2 equals the sqrt(det) renormalization around the DET_TOL edge."""
     # scale a random matrix to det 1, then move det off 1 by about 10^log_off
     a, b, c, d = entries
     det = a * d - b * c
     assume(1e-6 < abs(det) < 1e12)
     s = (1.0 + 10.0**log_off) / math.sqrt(abs(det))
     scaled = (a * s, b * s, c * s, d * s)
-    assert _outcome(Mat2, scaled) == _outcome(_construct_before_fast_path, scaled)
+    assert _outcome(Mat2, scaled) == _outcome(_sqrt_det_renormalization, scaled)
 
 
 @given(seeds)
@@ -196,8 +200,8 @@ def test_trace_and_apply():
     m = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
     assert m.a + m.d == 3.0
     # m (1, 2) = (4, 3), read as directions
-    assert _pushed_angle(m.a, m.b, m.c, m.d, math.atan2(2.0, 1.0)) == pytest.approx(
-        math.atan2(3.0, 4.0), rel=1e-15)
+    [pushed] = _pushed_angles([(m.a, m.b, m.c, m.d)], [math.atan2(2.0, 1.0)])
+    assert pushed == pytest.approx(math.atan2(3.0, 4.0), rel=1e-15)
 
 
 # -- operator norm and SVD ----------------------------------------------------
