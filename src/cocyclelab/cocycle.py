@@ -14,6 +14,7 @@ sample the wrong invariant measure.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -33,6 +34,8 @@ DEFAULT_SEED = 31415926
 _BLOCK = 4096
 # norm-growth samples reduced together, one row each; memory grows with it
 _ROWS = 4
+# bytes of the C heap chunk freed before norm growth; see _keep_heap_resident
+_HEAP_CHUNK = 4 << 20
 
 
 def rng_from(*keys) -> np.random.Generator:
@@ -300,11 +303,12 @@ def _reduce(ea, eb, ec, ed):
     The first level multiplies the four entry arrays into one (2, 2, ...)
     stack of pair products (for n = 1 it is empty and the lone matrix is
     the leftover); every later level works on that stack.  The entries are
-    never copied into a full-size stack: in some processes a per-call copy
-    that large made the C heap trim and re-fault ~1.5 MB per (4, 4096)
-    block.  A zero, infinite or NaN norm at any level makes its log -inf,
-    inf or NaN, and every log is summed into the root, so one finiteness
-    test on the root logs finds it.
+    never copied into a full-size stack, which would only add to the ~1.5 MB
+    of arrays a (4, 4096) block allocates and frees; _keep_heap_resident is
+    what keeps those pages in the C heap from block to block.  A zero,
+    infinite or NaN norm at any level makes its log -inf, inf or NaN, and
+    every log is summed into the root, so one finiteness test on the root
+    logs finds it.
     """
     n = ea.shape[-1]
     h = n & ~1
@@ -404,19 +408,47 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _keep_heap_resident() -> None:
+    """Free one _HEAP_CHUNK-byte chunk through the C allocator, if there is one.
+
+    glibc serves a request above its mmap threshold (128 KiB at start-up)
+    from a fresh mapping, and hands free heap above its trim threshold back
+    to the system.  A (4, 4096) norm-growth block allocates and frees ~1.5 MB
+    of arrays, most of them just above 128 KiB, so without this every block
+    maps and faults its pages in afresh.  Freeing a mapped chunk raises the
+    two thresholds to its size and twice that (mallopt(3), dynamic mmap
+    threshold), and the blocks then reuse the heap.  The chunk is never
+    written, so it costs no page faults.  Another C allocator just frees it;
+    where no C malloc is found this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        malloc, free = libc.malloc, libc.free
+    except (OSError, TypeError, AttributeError):
+        return
+    malloc.argtypes, malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    free.argtypes, free.restype = (ctypes.c_void_p,), None
+    free(malloc(_HEAP_CHUNK))
+
+
 def _norm_growth_group(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
                        rngs: list[np.random.Generator]) -> list[float]:
     """One norm-growth value per generator, the samples advanced in lockstep.
 
-    Each generator draws its digit stream and then its starting angle; the
-    digits are kept in the smallest unsigned dtype that holds k - 1.
+    Each generator draws its digit stream and then its starting angle.  The
+    stream is drawn in chunks of at most _BLOCK digits, which give the bits
+    of one draw of the whole stream, straight into the smallest unsigned
+    dtype that holds k - 1: one byte per step for k <= 256, and no int64
+    copy of the whole stream.
     """
     w = window_width(k)
     total = burn_in + n_steps
-    digit_dtype = np.min_scalar_type(k - 1)
     digits, vs = [], []
     for rng in rngs:
-        digits.append(rng.integers(0, k, size=total + w).astype(digit_dtype))
+        ds = np.empty(total + w, dtype=np.min_scalar_type(k - 1))
+        for lo in range(0, ds.size, _BLOCK):
+            ds[lo:lo + _BLOCK] = rng.integers(0, k, size=min(_BLOCK, ds.size - lo))
+        digits.append(ds)
         theta0 = rng.random() * math.pi
         vs.append((math.cos(theta0), math.sin(theta0)))
 
@@ -457,6 +489,7 @@ def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
 
+    _keep_heap_resident()
     values = []
     for lo in range(0, n_samples, _ROWS):
         rngs = [rng_from(seed, i) for i in range(lo, min(lo + _ROWS, n_samples))]

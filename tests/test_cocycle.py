@@ -1,7 +1,13 @@
 """Cocycle products and Lyapunov estimators against naive oracles."""
 
+import ctypes
 import json
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -40,6 +46,7 @@ from cocyclelab.cocycle import (
     DEFAULT_SEED,
     _angles,
     _entries,
+    _keep_heap_resident,
     _mean_stderr,
     _norm_growth_group,
     _product_along,
@@ -551,8 +558,13 @@ def vector_recurrence_sample(spec, k, n_steps, burn_in, rng) -> float:
     return acc / n_steps
 
 
-@pytest.mark.parametrize("k,n_steps,burn_in", [(8, 5000, 0), (3, 4097, 1), (2, 100, 4096),
-                                               (8, 9000, 5000)])
+@pytest.mark.parametrize("k,n_steps,burn_in", [
+    (8, 5000, 0), (3, 4097, 1), (2, 100, 4096), (8, 9000, 5000),
+    # streams of _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 _BLOCK + 3 digits (with the
+    # window's w): the chunked draws must end where one whole draw ends
+    (5, _BLOCK - 1 - 26, 0), (7, _BLOCK - 22, 0), (10, _BLOCK + 1 - 18, 0),
+    (100, 2 * _BLOCK + 3 - 9, 0), (512, _BLOCK - 1 - 6, 1),
+])
 def test_norm_growth_sample_matches_vector_recurrence(k, n_steps, burn_in):
     spec = twisted_spec()
     got = _norm_growth_group(spec, k, n_steps, burn_in, [rng_from(7, k, i) for i in range(3)])
@@ -583,6 +595,60 @@ def test_norm_growth_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 4_000_000
+
+
+def test_norm_growth_digits_stay_one_byte_per_step():
+    """Traced peak of 4 samples at 10**6 steps: each stream is drawn into one
+    byte per step in block-size chunks, never as one int64 draw (12.0 MB)."""
+    tracemalloc.start()
+    try:
+        lyapunov_norm_growth(example_spec(), example_map(8), n_steps=10**6, n_samples=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_000_000
+
+
+# warm norm growth on an 8-term spec, then the minor faults of three more calls
+_FAULT_PROBE = """
+import resource
+from cocyclelab import ExpandingMap, Mat2, full_twist_spec, lyapunov_norm_growth, perturb
+
+spec = perturb(full_twist_spec(Mat2.diagonal(2.0)), 0.05, 1)
+lyapunov_norm_growth(spec, ExpandingMap(8), n_steps=10_000, n_samples=8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    lyapunov_norm_growth(spec, ExpandingMap(8), n_steps=10_000, n_samples=8)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap behaviour")
+def test_norm_growth_blocks_do_not_refault_the_heap():
+    """Each block reuses the C heap the last one freed.  Left to glibc's
+    start-up thresholds, every block's arrays are mapped, unmapped and faulted
+    in afresh: about 6 000 minor faults over these three calls."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) <= 500
+
+
+def _no_c_library(name):
+    raise OSError("no C library here")
+
+
+@pytest.mark.parametrize("fake_cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-library", "no-malloc"])
+def test_norm_growth_runs_without_a_c_malloc(fake_cdll, monkeypatch):
+    """Where no C malloc is found the heap helper does nothing, and the
+    estimate keeps its bits."""
+    want = lyapunov_norm_growth(twisted_spec(), ExpandingMap(3), n_steps=500, n_samples=2)
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    _keep_heap_resident()
+    assert lyapunov_norm_growth(twisted_spec(), ExpandingMap(3), n_steps=500, n_samples=2) == want
 
 
 def test_norm_growth_constant_diagonal_is_log2():

@@ -158,6 +158,37 @@ def test_atan2_check_sees_an_inline_push():
     assert _arctangents(MODULES["sl2.py"])
 
 
+def _ctypes_imports(tree: ast.Module) -> list[int]:
+    """Lines that import ctypes or a submodule of it, in any import form."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import)
+                      and any(a.name.split(".")[0] == "ctypes" for a in node.names))
+                  or (isinstance(node, ast.ImportFrom) and not node.level
+                      and node.module.split(".")[0] == "ctypes"))
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "cocycle.py"])
+def test_only_cocycle_imports_ctypes(name):
+    # the one call into the C allocator (cocycle._keep_heap_resident) stays in one place
+    lines = _ctypes_imports(MODULES[name])
+    assert not lines, f"{name}: ctypes imported at lines {lines}; only cocycle.py may"
+
+
+def test_ctypes_check_sees_every_import_form():
+    # the check must flag each way of importing ctypes, pass a relative import
+    # that merely starts with the name, and find the import cocycle.py holds
+    imports = (
+        "import ctypes\n"
+        "import os, ctypes.util as cu\n"
+        "from ctypes import CDLL\n"
+        "from ctypes.util import find_library\n"
+        "from . import ctypes_free\n"
+        "import numpy\n"
+    )
+    assert _ctypes_imports(ast.parse(imports)) == [1, 2, 3, 4]
+    assert _ctypes_imports(MODULES["cocycle.py"])
+
+
 def _keyword_is_true(call: ast.Call, name: str) -> bool:
     return any(k.arg == name and isinstance(k.value, ast.Constant) and k.value.value is True
                for k in call.keywords)
