@@ -119,8 +119,9 @@ def shift_backward(it: BackwardItinerary) -> BackwardItinerary:
 # -- forward orbits ----------------------------------------------------------
 #
 # Iterating (k*x) % 1 in float64 sheds log2(k) mantissa bits per step; for
-# k a power of two the orbit reaches the fixed point 0 after at most
-# ceil(53/log2 k) steps.  That is the true orbit of the dyadic rational the
+# k a power of two an x whose lowest set bit is 2^-p reaches the fixed point
+# 0 after exactly ceil(p/log2 k) steps, and p can reach 1074 (x = 2^-1000
+# takes 334 steps at k = 8).  That is the true orbit of the dyadic rational the
 # float denotes, but it is useless for sampling Lebesgue-typical behavior.
 # A Lebesgue-random point has iid uniform base-k digits, and its orbit is
 # the digit shift; we simulate it exactly by reading each window of w

@@ -352,20 +352,47 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     The base orbit is the true float orbit of x; for k a power of two this
     is the exact orbit of the dyadic rational x denotes.  It is generated
     and multiplied out _BLOCK points at a time, so memory stays flat in n.
+
+    A float orbit that reaches a fixed point x* of x -> (k x) % 1.0 stays
+    there: for k a power of two every orbit reaches 0, after ceil(p/log2 k)
+    steps when the lowest set bit of x is 2^-p (p <= 1074).  Once a block
+    ends on a fixed point the orbit stops at its first visit, and the r
+    steps left are A(x*)^r, left-multiplied by binary powering in about
+    2 log2 r scalar steps.  Orbits that never settle pay one test per block.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"point {x} outside [0, 1)")
     k = float(m.k)
+    fixed = None  # (x*, steps left at x*) once the orbit settles
 
     def blocks(x):
+        nonlocal fixed
         for lo in range(0, n, _BLOCK):
             xs = [x] + [x := (k * x) % 1.0 for _ in range(min(_BLOCK, n - lo) - 1)]
             x = (k * x) % 1.0
+            if x == xs[-1]:
+                i = xs.index(x)
+                fixed = (x, n - lo - i)
+                if i:
+                    yield xs[:i]
+                return
             yield xs
 
-    return _product_of_blocks(spec, blocks(x))
+    p = _product_of_blocks(spec, blocks(x))
+    if fixed is None:
+        return p
+    x, r = fixed
+    ea, eb, ec, ed = (float(e[0]) for e in _entries(spec, np.array([x])))
+    ma, mb, mc, md, logs, e_log = p.a, p.b, p.c, p.d, p.log_scale, 0.0
+    while True:
+        if r & 1:
+            ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + e_log, ea, eb, ec, ed)
+        r >>= 1
+        if not r:
+            return ScaledMatrix(ma, mb, mc, md, logs)
+        ea, eb, ec, ed, e_log = _product_step(ea, eb, ec, ed, e_log + e_log, ea, eb, ec, ed)
 
 
 def _product_along(spec: CocycleSpec, xs) -> ScaledMatrix:

@@ -535,6 +535,39 @@ def test_cocycle_product_streams_the_float_orbit():
     assert cocycle_product(spec, m, 0.3, n) == _product_along(spec, xs)
 
 
+def log_norm(p) -> float:
+    return p.log_scale + math.log(_s_max(p.a, p.b, p.c, p.d))
+
+
+# (k, x) whose float orbit settles on a fixed point: every dyadic x at even k
+# reaches 0, 0.3 takes about 18 steps at k = 8 and 2^-1000 takes 334; 0.5 is
+# fixed for odd k
+SETTLING_ORBITS = [(k, x) for k in (2, 4, 8)
+                   for x in (0.0, 0.5, 1 / 4096, 1365 / 4096, 2731 / 4096, 4095 / 4096)]
+SETTLING_ORBITS += [(8, 0.3), (8, 2.0**-1000), (3, 0.5), (5, 0.5)]
+
+
+@pytest.mark.parametrize("k,x", SETTLING_ORBITS, ids=repr)
+def test_product_tail_at_a_fixed_point_matches_the_dense_tree(k, x):
+    """A(x*)^r by squaring after the orbit settles, against every point reduced."""
+    n_max = 50_000
+    xs = [x]
+    for _ in range(n_max - 1):
+        xs.append((k * xs[-1]) % 1.0)
+    settle = next(i for i, y in enumerate(xs) if (k * y) % 1.0 == y)
+    steps = {1, settle - 1, settle, settle + 1, 256, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, n_max}
+    for spec in (example_spec(), twisted_spec()):
+        for n in sorted(s for s in steps if s >= 1):
+            got = cocycle_product(spec, ExpandingMap(k), x, n)
+            want = _product_along(spec, xs[:n])
+            assert log_norm(got) == pytest.approx(log_norm(want), rel=1e-13), n
+            try:
+                e_want = want.stable_direction(1e3)
+            except NoHyperbolicityError:
+                continue
+            assert proj_distance(got.stable_direction(1e3), e_want) <= 1e-13, n
+
+
 # -- norm-growth estimator ----------------------------------------------------
 
 def vector_recurrence_sample(spec, k, n_steps, burn_in, rng) -> float:

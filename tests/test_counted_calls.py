@@ -74,6 +74,10 @@ RUNS = [
      "--restarts", "2"],
     ["section", "--k", "2", "--grid", "32", "--iterations", "2", "--direction-steps", "64",
      "--restarts", "1"],
+    # at odd k most grid orbits never settle on a fixed point, so their products
+    # run every block instead of ending in a power of A(x*)
+    ["section", "--k", "3", "--spec", "near-diagonal.json", "--grid", "32", "--iterations", "2",
+     "--direction-steps", "64", "--restarts", "1"],
     ["degree", "--grid", "256"],
     ["bunching", "--grid", "300"],
     ["robustness", "--trials", "2", "--steps", "200", "--samples", "1", "--c0-grid", "50"],
@@ -83,8 +87,19 @@ RUNS = [
 ]
 
 
+# spec files the runs name, written to their working directory.  At odd k the
+# example spec's products along the orbit of 1/4 have no gap (A(1/4) has trace 0,
+# A(3/4) A(1/4) = I), so its stable direction loop stops at the first gap
+# failure and makes fewer than g·d steps
+SPECS = {"near-diagonal.json": {"base": [[2.0, 0.0], [0.0, 0.5]],
+                                "twist": [{"freq": 1, "amp": 0.05}]}}
+
+
 @pytest.mark.parametrize("args", RUNS, ids=" ".join)
-def test_counted_calls_match_the_config(args, counted, tmp_path):
+def test_counted_calls_match_the_config(args, counted, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, spec in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(spec))
     out = tmp_path / "report.json"
     assert main([*args, "--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]

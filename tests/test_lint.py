@@ -158,6 +158,45 @@ def test_atan2_check_sees_an_inline_push():
     assert _arctangents(MODULES["sl2.py"])
 
 
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    """The module's top-level function of that name."""
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _evaluate_names(tree: ast.AST) -> list[int]:
+    """Lines that name evaluate, bare or as an attribute (cocycle.evaluate)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == "evaluate")
+                  or (isinstance(node, ast.Attribute) and node.attr == "evaluate"))
+
+
+PRODUCT_PATH = ("cocycle_product", "_product_of_blocks", "_product_along", "_reduce",
+                "_norm_growth_group")
+
+
+@pytest.mark.parametrize("name", PRODUCT_PATH)
+def test_product_path_takes_entries_without_evaluate(name):
+    # a matrix inside a product counts as a step (cocycle.steps), not as an
+    # evaluate call (cocycle.evals); products take their entries from _entries
+    lines = _evaluate_names(_function(MODULES["cocycle.py"], name))
+    assert not lines, f"cocycle.{name}: evaluate at lines {lines}; use _entries"
+
+
+def test_evaluate_check_sees_an_inline_evaluate():
+    # the check must flag an evaluate inside a nested generator and a
+    # qualified one, and find the one phi makes, or it checks nothing
+    inline_tail = (
+        "def cocycle_product(spec, m, x, n):\n"
+        "    def blocks(x):\n"
+        "        yield [evaluate(spec, x)]\n"
+        "    p = _product_of_blocks(spec, blocks(x))\n"
+        "    ea, eb, ec, ed = cocycle.evaluate(spec, x)\n"
+    )
+    assert _evaluate_names(_function(ast.parse(inline_tail), "cocycle_product")) == [3, 5]
+    assert _evaluate_names(_function(MODULES["cocycle.py"], "phi"))
+
+
 def _ctypes_imports(tree: ast.Module) -> list[int]:
     """Lines that import ctypes or a submodule of it, in any import form."""
     return sorted(node.lineno for node in ast.walk(tree)
