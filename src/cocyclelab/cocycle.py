@@ -32,6 +32,9 @@ DEFAULT_SEED = 31415926
 
 # orbit points per array pass in the product loops; bounds their scratch memory
 _BLOCK = 4096
+# longest orbit block reduced in Python floats (_reduce_short); from about 16
+# points on an 8-term twist, and 32 on the example, _reduce is faster
+_SHORT = 16
 # norm-growth samples reduced together, one row each; memory grows with it
 _ROWS = 4
 # bytes of the C heap chunk freed before norm growth; see _keep_heap_resident
@@ -216,7 +219,7 @@ def evaluate(spec: CocycleSpec, x: float) -> tuple[float, float, float, float]:
 
 
 def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
-    """TWO_PI * g(x) over an array, by CocycleSpec.twist's expression and bits."""
+    """TWO_PI * g(x) over an array or at a float, by CocycleSpec.twist's expression and bits."""
     g = spec.winding * xs
     if spec._plan:
         a = TWO_PI * xs
@@ -225,7 +228,11 @@ def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _entries(spec: CocycleSpec, xs: np.ndarray):
-    """The entry arrays (a, b, c, d) of A(x) = base . R(2 pi g(x)) over xs."""
+    """The entries (a, b, c, d) of A(x) = base . R(2 pi g(x)) over an array xs.
+
+    At a float x they are numpy scalars: numpy's scalar ufuncs run the
+    loops its array calls run, so they carry the bits of an array element.
+    """
     ang = _angles(spec, xs)
     cs, sn = np.cos(ang), np.sin(ang)
     b = spec.base
@@ -336,12 +343,55 @@ def _reduce(ea, eb, ec, ed):
     return m[0, 0, ..., 0], m[0, 1, ..., 0], m[1, 0, ..., 0], m[1, 1, ..., 0], logs[..., 0]
 
 
+def _reduce_short(ms):
+    """_reduce on a short list ms of entry tuples (a, b, c, d), in Python floats.
+
+    _reduce's bitwise twin, as sl2._mul_stacked is _mul's: the same tree
+    (the odd-indexed matrix the left factor through _mul, an odd leftover
+    carried with log 0.0), each node's squared norm summed in _pull's
+    order, and every log from one np.log call on the collected norms,
+    since math.log does not always give np.log's bits.  A zero, infinite
+    or NaN norm raises before it divides.  For the few points a settled
+    orbit leaves, this skips _reduce's per-call array overhead; it goes
+    once stable_direction_loop batches its rows through _reduce (ROADMAP
+    items 2 and 4).
+    """
+    n = len(ms)
+    norms = []
+    while len(ms) > 1:
+        level = []
+        for i in range(1, len(ms), 2):
+            a, b, c, d = _mul(*ms[i], *ms[i - 1])
+            fr = math.sqrt(a * a + b * b + c * c + d * d)
+            if not 0.0 < fr < math.inf:
+                raise NumericOverflowError("degenerate step in scaled product")
+            inv = SQRT2 / fr
+            level.append((a * inv, b * inv, c * inv, d * inv))
+            norms.append(fr / SQRT2)
+        ms = level + ms[len(ms) & ~1:]
+    logs = iter(np.log(norms).tolist())
+    tree = [0.0] * n
+    while len(tree) > 1:
+        tree = [next(logs) + (tree[i] + tree[i - 1]) for i in range(1, len(tree), 2)] \
+            + tree[len(tree) & ~1:]
+    return (*ms[0], tree[0])
+
+
 def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:
-    """Scaled product of A over consecutive orbit blocks (first point first)."""
+    """Scaled product of A over consecutive orbit blocks (first point first).
+
+    A block of at most _SHORT points is reduced by _reduce_short on the
+    entries of each point (_entries on a float runs numpy's scalar ufuncs,
+    the loops the array path runs), a longer one by _reduce on entry
+    arrays; the two give the same bits.
+    """
     ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
     for xs in blocks:
-        block = _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64)))
-        ea, eb, ec, ed, block_log = map(float, block)
+        if len(xs) <= _SHORT:
+            block = _reduce_short([tuple(map(float, _entries(spec, x))) for x in xs])
+        else:
+            block = map(float, _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64))))
+        ea, eb, ec, ed, block_log = block
         ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + block_log, ea, eb, ec, ed)
     return ScaledMatrix(ma, mb, mc, md, logs)
 
@@ -355,10 +405,12 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
 
     A float orbit that reaches a fixed point x* of x -> (k x) % 1.0 stays
     there: for k a power of two every orbit reaches 0, after ceil(p/log2 k)
-    steps when the lowest set bit of x is 2^-p (p <= 1074).  Once a block
-    ends on a fixed point the orbit stops at its first visit, and the r
-    steps left are A(x*)^r, left-multiplied by binary powering in about
-    2 log2 r scalar steps.  Orbits that never settle pay one test per block.
+    steps when the lowest set bit of x is 2^-p (p <= 1074).  Each block is
+    grown by doubling, 1, 2, 4, ... points, until it is full or its last
+    point is fixed; then the orbit stops at its first visit to x*, and the
+    r steps left are A(x*)^r, left-multiplied by binary powering in about
+    2 log2 r scalar steps.  The head before x* is often a short block,
+    which _product_of_blocks reduces in Python floats with _reduce's bits.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -370,21 +422,25 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     def blocks(x):
         nonlocal fixed
         for lo in range(0, n, _BLOCK):
-            xs = [x] + [x := (k * x) % 1.0 for _ in range(min(_BLOCK, n - lo) - 1)]
-            x = (k * x) % 1.0
-            if x == xs[-1]:
-                i = xs.index(x)
-                fixed = (x, n - lo - i)
+            size = min(_BLOCK, n - lo)
+            xs, start = [x], 0
+            while (y := (k * x) % 1.0) != x and len(xs) < size:
+                start = len(xs)
+                xs += [x := (k * x) % 1.0 for _ in range(min(start, size - start))]
+            if y == x:
+                i = xs.index(x, start)
+                fixed = (y, n - lo - i)
                 if i:
                     yield xs[:i]
                 return
+            x = y
             yield xs
 
     p = _product_of_blocks(spec, blocks(x))
     if fixed is None:
         return p
     x, r = fixed
-    ea, eb, ec, ed = (float(e[0]) for e in _entries(spec, np.array([x])))
+    ea, eb, ec, ed = map(float, _entries(spec, x))
     ma, mb, mc, md, logs, e_log = p.a, p.b, p.c, p.d, p.log_scale, 0.0
     while True:
         if r & 1:

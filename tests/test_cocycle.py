@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import (BASE, as_array, example_map, example_spec, proj_distance, random_sl2,
@@ -43,6 +43,7 @@ from cocyclelab.circle import _orbit, window_width
 from cocyclelab.cocycle import (
     _BLOCK,
     _ROWS,
+    _SHORT,
     DEFAULT_SEED,
     _angles,
     _entries,
@@ -52,6 +53,7 @@ from cocyclelab.cocycle import (
     _product_along,
     _product_step,
     _reduce,
+    _reduce_short,
 )
 from cocyclelab.errors import NumericOverflowError
 from cocyclelab.sl2 import _mul, _mul_stacked, _s_max
@@ -239,13 +241,17 @@ terms_st = st.lists(
 
 @given(terms=terms_st, winding=st.integers(-3, 3),
        xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+# subnormal amplitudes, where the relative bound alone underflows to 0.0 and the
+# two sums differ by one subnormal ulp
+@example(terms=[TwistTerm(1, 2.2250738585e-313, 1.0)], winding=0, xs=[0.9375])
+@example(terms=[TwistTerm(1, 5e-324, 1.0)], winding=0, xs=[0.8125])
 @settings(max_examples=100, deadline=None)
 def test_trig_sum_scalar_and_array_agree(terms, winding, xs):
     spec = CocycleSpec(base=BASE, winding=winding, terms=tuple(terms))
     arr = np.array(xs)
     scalar = [spec.twist(x) for x in xs]
     assert np.array_equal(_angles(spec, arr), TWO_PI * np.array(scalar))
-    tol = 1e-14 * twist_scale(spec)
+    tol = max(1e-14 * twist_scale(spec), 4 * 5e-324)
     assert all(abs(g - per_term_twist(spec, x)) <= tol for g, x in zip(scalar, xs))
 
 
@@ -515,14 +521,67 @@ def nan_entry():
     return ea, eb, ec, ed
 
 
+def zero_pair():
+    # diag(0, 1) diag(1, 0) = 0
+    return np.array([1.0, 0.0]), np.zeros(2), np.zeros(2), np.array([0.0, 1.0])
+
+
+def inf_pair():
+    ea, eb, ec, ed = identity_entries(2)
+    ed[1] = math.inf
+    return ea, eb, ec, ed
+
+
+def nan_in_the_odd_leftover():
+    ea, eb, ec, ed = identity_entries(3)
+    ea[2] = math.nan
+    return ea, eb, ec, ed
+
+
+def as_tuples(entries) -> list[tuple[float, float, float, float]]:
+    """Entry arrays (ea, eb, ec, ed) as the per-matrix tuples _reduce_short takes."""
+    return list(zip(*(np.asarray(e, dtype=np.float64).tolist() for e in entries)))
+
+
 @pytest.mark.parametrize("make", [zero_at_an_inner_level, inf_in_the_last_pair,
-                                  inf_in_the_odd_leftover, nan_entry], ids=lambda f: f.__name__)
+                                  inf_in_the_odd_leftover, nan_entry, zero_pair, inf_pair,
+                                  nan_in_the_odd_leftover], ids=lambda f: f.__name__)
 def test_degenerate_products_raise_and_warn_nothing(make):
     # no np.errstate here: a RuntimeWarning would be an error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError, match="degenerate step"):
             _reduce(*make())
+        with pytest.raises(NumericOverflowError, match="degenerate step"):
+            _reduce_short(as_tuples(make()))
+
+
+def reduce_outcome(reduce, *args):
+    try:
+        return hex_bits(reduce(*args))
+    except NumericOverflowError:
+        return "degenerate"
+
+
+@pytest.mark.parametrize("n", range(1, _SHORT + 2))
+def test_short_reduce_is_reduce_bitwise(n):
+    """_reduce_short gives _reduce's bits, or its error, on entries from 1e-150 to 1e150."""
+    rng = np.random.default_rng([21, n])
+    finite = 0
+    for spread in (0, 1, 10, 75, 150):
+        for _ in range(20):
+            entries = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-spread, spread, (4, n))
+            want = reduce_outcome(_reduce, *entries)
+            assert reduce_outcome(_reduce_short, as_tuples(entries)) == want
+            finite += want != "degenerate"
+    assert finite >= 40
+
+
+def test_short_reduce_takes_the_logs_of_np_log():
+    """The pair's norm sqrt(0.66^2 + 1) / sqrt(2) is one where math.log and np.log
+    can differ in the last bit (they do with numpy 2.4 on x86-64 Linux)."""
+    entries = (np.array([1.0, 0.66]), np.zeros(2), np.zeros(2), np.ones(2))
+    assert hex_bits(_reduce_short(as_tuples(entries))) == hex_bits(_reduce(*entries))
 
 
 def test_cocycle_product_streams_the_float_orbit():

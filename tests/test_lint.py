@@ -172,7 +172,7 @@ def _evaluate_names(tree: ast.AST) -> list[int]:
 
 
 PRODUCT_PATH = ("cocycle_product", "_product_of_blocks", "_product_along", "_reduce",
-                "_norm_growth_group")
+                "_reduce_short", "_norm_growth_group")
 
 
 @pytest.mark.parametrize("name", PRODUCT_PATH)

@@ -1,5 +1,6 @@
 """Projective loops, degree obstructions, and the invariant-section search."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from cocyclelab import (
     ProjPoint,
     ProjectiveLoop,
     ResolutionError,
+    TwistTerm,
     degree_obstruction,
     evaluate,
     perturb,
@@ -267,6 +269,25 @@ def test_stable_direction_loop_without_gap_is_constant():
     loop = stable_direction_loop(CocycleSpec(base=rotation(0.7)),
                                  example_map(), grid_n=64, direction_steps=32)
     assert np.all(loop.samples == 0.0)
+
+
+# sha256 of the newline-joined float.hex of every sample, as the code gave them
+# before short orbit blocks were reduced in Python floats
+PINNED_LOOPS = [
+    (example_spec(), 8, 4096, 256,
+     "c5e243a7dad05b09b91548ea6b76d34570d60d8e6b13bc10753c812b1d0029ac"),
+    (CocycleSpec(base=Mat2.diagonal(2.0), terms=(TwistTerm(1, 0.05, 0.0),)), 3, 256, 64,
+     "2d4a6ecbc134aef516c589cda77e832f2044d02763832dfc9729c23e028c15e6"),
+]
+
+
+@pytest.mark.parametrize("spec,k,grid_n,steps,digest", PINNED_LOOPS,
+                         ids=["example-k8", "near-diagonal-k3"])
+def test_stable_direction_loop_pinned_bits(spec, k, grid_n, steps, digest):
+    """Every sample keeps its bits: settled (k = 8) and unsettled (k = 3) orbits."""
+    loop = stable_direction_loop(spec, ExpandingMap(k), grid_n, steps)
+    text = "\n".join(float(v).hex() for v in loop.samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_search_validation():
