@@ -10,6 +10,7 @@ for the honest way to follow a Lebesgue-random forward orbit).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,24 +81,30 @@ class BackwardItinerary:
         object.__setattr__(self, "x0", _real("anchor x0", self.x0))
         if not 0.0 <= self.x0 < 1.0:
             raise ValueError(f"anchor {self.x0} outside [0, 1)")
-        digits = tuple(_integral("branch digit", d) for d in self.digits)
-        for d in digits:
-            if not 0 <= d < self.k:
-                raise ValueError(f"branch digit {d} outside 0..{self.k - 1}")
+        # plain ints (what the commands pass) are checked in one pass over
+        # their types; anything else goes digit by digit through _integral
+        digits = tuple(self.digits)
+        if not set(map(type, digits)) <= {int}:
+            digits = tuple(_integral("branch digit", d) for d in digits)
+        if digits and not (min(digits) >= 0 and max(digits) < self.k):
+            bad = next(d for d in digits if not 0 <= d < self.k)
+            raise ValueError(f"branch digit {bad} outside 0..{self.k - 1}")
         object.__setattr__(self, "digits", digits)
 
     @property
     def depth(self) -> int:
         return len(self.digits)
 
-    def points(self) -> list[float]:
-        """[x0, x_{-1}, ..., x_{-depth}], via stable branch arithmetic."""
-        pts = [self.x0]
-        x = self.x0
+    def preimages(self) -> Iterator[float]:
+        """x_{-1}, x_{-2}, ..., x_{-depth}, lazily, via stable branch arithmetic."""
+        k, x = self.k, self.x0
         for d in self.digits:
-            x = _preimage(self.k, x, d)
-            pts.append(x)
-        return pts
+            x = _preimage(k, x, d)
+            yield x
+
+    def points(self) -> list[float]:
+        """[x0, x_{-1}, ..., x_{-depth}]: the anchor, then preimages()."""
+        return [self.x0, *self.preimages()]
 
 
 def shift_forward(it: BackwardItinerary) -> BackwardItinerary:

@@ -400,7 +400,7 @@ def cmd_holonomy(cfg, spec, map_):
         u = 0.05 + 0.65 * rng.random()
         x0 = (cell + u) / k
         offset = (1.0 + 3.0 * rng.random()) / (8.0 * k * k)
-        digits = tuple(int(d) for d in rng.integers(0, k, size=cfg["max_depth"]))
+        digits = tuple(rng.integers(0, k, size=cfg["max_depth"]).tolist())
         x_it = BackwardItinerary(k, x0, digits)
         y_it = BackwardItinerary(k, x0 + offset, digits)
         res = u_holonomy(spec, map_, x_it, y_it, tol=cfg["tol"], max_depth=cfg["max_depth"])
@@ -478,7 +478,7 @@ def cmd_natext(cfg, spec, map_):
     for i in range(cfg["samples"]):
         rng = rng_from(cfg["seed"], i)
         x0 = aligned_anchor(real, rng)
-        digits = tuple(int(d) for d in rng.integers(0, map_.k, size=depth))
+        digits = tuple(rng.integers(0, map_.k, size=depth).tolist())
         it = BackwardItinerary(map_.k, x0, digits)
         resid, bound = conjugacy_residual(real, it)
         max_resid = max(max_resid, resid)

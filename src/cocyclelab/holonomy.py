@@ -76,7 +76,8 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
     Stops at the first depth whose correction term has operator norm at
     most tol (Cauchy criterion; no extrapolation).  Both itineraries must
     record at least max_depth digits, so non-convergence is a statement
-    about the cocycle rather than about missing data.
+    about the cocycle rather than about missing data; x_it's backward
+    orbit (its preimages()) is walked only down to the depth used.
     """
     _check_same_leaf(m, x_it, y_it)
     if x_it.depth < max_depth or y_it.depth < max_depth:
@@ -90,10 +91,9 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
     if delta == 0.0:
         return HolonomyResult(Mat2.identity(), 0, 0.0, True, ())
 
+    # the adjugate of the det-1 base is its inverse
     b = spec.base
-    b_inv = b.inverse()
-
-    xs = x_it.points()
+    ia, ib, ic, id_ = b.d, -b.b, -b.c, b.a
 
     # factored partial products P_m = A(z_{-1}) ... A(z_{-m}) = exp(s) * M
     xa, xb, xc, xd, sx = 1.0, 0.0, 0.0, 1.0, 0.0
@@ -104,16 +104,14 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
     converged = False
     depth_used = max_depth
 
-    for depth in range(1, max_depth + 1):
+    for depth, xm in zip(range(1, max_depth + 1), x_it.preimages()):
         delta /= m.k
-        xm = xs[depth]
 
         # bracket: A0 (R(beta) - I) A0^{-1} at relative accuracy in delta
         beta = TWO_PI * spec.twist_gap(xm, delta)
         sn = math.sin(beta)
         cm1 = -2.0 * math.sin(0.5 * beta) ** 2
-        bracket = _mul(*_mul(b.a, b.b, b.c, b.d, cm1, -sn, sn, cm1),
-                       b_inv.a, b_inv.b, b_inv.c, b_inv.d)
+        bracket = _mul(*_mul(b.a, b.b, b.c, b.d, cm1, -sn, sn, cm1), ia, ib, ic, id_)
 
         # P_{m-1}(y) . bracket . P_{m-1}(x)^{-1}; the inverse of a scaled
         # det-1 product is exp(s) * adj(M)

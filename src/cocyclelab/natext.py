@@ -17,7 +17,7 @@ itinerary determines iota to within lam^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,10 +32,11 @@ MAX_ANCHOR_K = 8
 def _plateau(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 1 for t <= 0, 0 for t >= 1, exp-mollified between.
 
-    Clipping t to [1e-3, 1 - 1e-3] moves no value: past either end one of
-    the two exponentials underflows to exactly 0, so a / (a + b) is 1 or 0.
+    Clamping t to [1e-3, 1 - 1e-3] (np.clip's values, NaN included, in two
+    ufunc calls) moves no value: past either end one of the two
+    exponentials underflows to exactly 0, so a / (a + b) is 1 or 0.
     """
-    t = np.clip(np.asarray(t, dtype=np.float64), 1e-3, 1.0 - 1e-3)
+    t = np.minimum(np.maximum(t, 1e-3), 1.0 - 1e-3)
     a = np.exp(-1.0 / (1.0 - t))
     b = np.exp(-1.0 / t)
     return a / (a + b)
@@ -60,19 +61,31 @@ class NatExtRealization:
     r_outer: float
     delta: float
     lam: float
+    # centers as a read-only float array, which the bump rows subtract;
+    # derived in __post_init__, so replace() rebuilds it
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        centers = np.array(self.centers, dtype=np.float64)
+        centers.flags.writeable = False
+        object.__setattr__(self, "_centers", centers)
 
     @property
     def ambient_dim(self) -> int:
         return 1 + self.n_charts
 
     def h(self, x: float) -> np.ndarray:
-        return self.h_many(np.array([x]))[0]
+        """Bump vector at one circle point, shape (N,): h_many([x])[0], bit for bit."""
+        return self._bumps(x - self._centers)
 
     def h_many(self, xs: np.ndarray) -> np.ndarray:
         """Bump vector rows for an array of circle points: shape (len, N)."""
         xs = np.asarray(xs, dtype=np.float64)
-        c = np.asarray(self.centers)
-        d = np.abs(np.mod(xs[:, None] - c[None, :] + 0.5, 1.0) - 0.5)
+        return self._bumps(xs[:, None] - self._centers)
+
+    def _bumps(self, offsets: np.ndarray) -> np.ndarray:
+        """Plateau bumps of the offsets x - center, read as circle distances."""
+        d = np.abs(np.mod(offsets + 0.5, 1.0) - 0.5)
         t = (d - self.r_inner) / (self.r_outer - self.r_inner)
         return _plateau(t)
 

@@ -89,10 +89,6 @@ class Mat2:
     def to_rows(self) -> list[list[float]]:
         return [[self.a, self.b], [self.c, self.d]]
 
-    def inverse(self) -> "Mat2":
-        # adjugate; det is already 1
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         """self @ other.  Raises NumericOverflowError if entries leave float range."""
         return Mat2(*_mul(self.a, self.b, self.c, self.d, other.a, other.b, other.c, other.d))

@@ -38,11 +38,6 @@ def as_array(m: Mat2) -> np.ndarray:
     return np.array(m.to_rows())
 
 
-def mat_gap(m1: Mat2, m2: Mat2) -> float:
-    """Spectral-norm distance, by numpy SVD (independent of sl2.op_norm)."""
-    return float(np.linalg.norm(as_array(m1) - as_array(m2), 2))
-
-
 def det(m: Mat2) -> float:
     return m.a * m.d - m.b * m.c
 

@@ -89,6 +89,29 @@ def test_itinerary_validation():
         BackwardItinerary(2, 0.5, (2,))
     with pytest.raises(ValueError):
         BackwardItinerary(2, 0.5, (-1,))
+    # digits that are not integral numbers, on their own or after plain ints
+    for bad in (True, np.True_, 1.5, "1", None):
+        for digits in ((bad,), (0, 1, bad, 1)):
+            with pytest.raises(ValueError, match=f"branch digit must be an integer, got {bad!r}"):
+                BackwardItinerary(4, 0.5, digits)
+    # integral numbers of other types are stored as Python ints, in a tuple
+    for digits in ((np.int64(3), 2.0, 1), [3, np.int64(2), 1.0], np.array([3, 2, 1])):
+        it = BackwardItinerary(4, 0.5, digits)
+        assert it.digits == (3, 2, 1) and type(it.digits) is tuple
+        assert all(type(d) is int for d in it.digits)
+    # a range error names the first digit out of range, on either path
+    for digits in ((1, 7, -1, 9), (1, np.int64(7), -1.0, 9)):
+        with pytest.raises(ValueError, match=r"branch digit 7 outside 0\.\.3"):
+            BackwardItinerary(4, 0.5, digits)
+    with pytest.raises(ValueError, match=r"branch digit -1 outside 0\.\.3"):
+        BackwardItinerary(4, 0.5, (0, 3, -1, 4))
+    # the shifts build their itineraries from stored ints
+    it = BackwardItinerary(4, 0.8125, (np.int64(1), 2.0))
+    fwd, back = shift_forward(it), shift_backward(it)
+    assert (fwd.k, fwd.x0, fwd.digits) == (4, 0.25, (3, 1, 2))
+    assert (back.k, back.x0, back.digits) == (4, (0.8125 + 1) / 4, (2,))
+    assert all(type(d) is int for d in fwd.digits + back.digits)
+    assert shift_backward(fwd) == it and shift_forward(back) == it
 
 
 def test_points_follow_branch_recurrence():
@@ -98,6 +121,13 @@ def test_points_follow_branch_recurrence():
     assert pts[1] == (0.5 + 3) / 4
     assert pts[2] == pts[1] / 4
     assert pts[3] == (pts[2] + 2) / 4
+
+
+def test_preimages_walk_lazily():
+    it = BackwardItinerary(4, 0.5, (3, 0, 2) * 20)
+    walk = it.preimages()
+    assert [next(walk) for _ in range(3)] == it.points()[1:4]
+    assert it.points() == [it.x0, *it.preimages()]
 
 
 @given(ks, units, st.lists(st.integers(0, 9), min_size=1, max_size=25))

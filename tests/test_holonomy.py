@@ -197,6 +197,75 @@ def test_unbunched_typical_pairs_converge_marginally_at_best():
     assert stalled >= 6  # fixed seeds: 8 of these 12 stall outright
 
 
+# -- bits of the lazy walk ----------------------------------------------------------
+
+def reference_holonomy(spec, m, x_it, y_it, tol: float = 1e-8, max_depth: int = 60):
+    """The telescoped series folded over the whole list x_it.points(), with
+    the base inverse built as a Mat2 from its adjugate: the fields of
+    HolonomyResult as a tuple, for a pair with distinct anchors."""
+    from cocyclelab.cocycle import TWO_PI, _product_step, evaluate
+    from cocyclelab.holonomy import _as_group_element
+    from cocyclelab.sl2 import Mat2, _mul, _s_max
+
+    b = spec.base
+    b_inv = Mat2(b.d, -b.b, -b.c, b.a)
+    xs = x_it.points()
+    delta = y_it.x0 - x_it.x0
+    px, py = (1.0, 0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0, 0.0)
+    h = [1.0, 0.0, 0.0, 1.0]
+    residuals = []
+    for depth in range(1, max_depth + 1):
+        delta /= m.k
+        beta = TWO_PI * spec.twist_gap(xs[depth], delta)
+        sn, cm1 = math.sin(beta), -2.0 * math.sin(0.5 * beta) ** 2
+        bracket = _mul(*_mul(b.a, b.b, b.c, b.d, cm1, -sn, sn, cm1),
+                       b_inv.a, b_inv.b, b_inv.c, b_inv.d)
+        xa, xb, xc, xd, sx = px
+        term = _mul(*_mul(*py[:4], *bracket), xd, -xb, -xc, xa)
+        scale = math.exp(sx + py[4])
+        term = [v * scale for v in term]
+        residuals.append(_s_max(*term))
+        h = [hv + tv for hv, tv in zip(h, term)]
+        if residuals[-1] <= tol:
+            group = _as_group_element(*h, True)
+            return group, depth, residuals[-1], True, tuple(residuals)
+        ym = (xs[depth] + delta) % 1.0
+        px = _product_step(*evaluate(spec, xs[depth]), px[4], *px[:4])
+        py = _product_step(*evaluate(spec, ym), py[4], *py[:4])
+    return _as_group_element(*h, False), max_depth, residuals[-1], False, tuple(residuals)
+
+
+def result_bits(res) -> tuple:
+    """The fields of a HolonomyResult, with floats as hex strings."""
+    h = None if res[0] is None else tuple(v.hex() for v in (res[0].a, res[0].b, res[0].c, res[0].d))
+    return h, res[1], res[2].hex(), res[3], tuple(r.hex() for r in res[4])
+
+
+@pytest.mark.parametrize("k,seeds", [(8, range(20, 30)), (3, range(60, 64))])
+def test_lazy_walk_matches_the_fold_over_points(k, seeds):
+    spec, m = example_spec(), ExpandingMap(k)
+    for seed in seeds:
+        x_it, y_it = leaf_pair(k, seed)
+        res = u_holonomy(spec, m, x_it, y_it)
+        assert res.converged or k != 8
+        got = (res.h, res.depth_used, res.cauchy_residual, res.converged, res.residuals)
+        assert result_bits(got) == result_bits(reference_holonomy(spec, m, x_it, y_it))
+
+
+@pytest.mark.parametrize("x0,off,digit", [
+    (0.11, 0.01, 0),
+    (0.07, -0.013, 0),
+    (0.93, 0.011, 1),
+])
+def test_lazy_walk_matches_the_fold_on_diverging_witnesses(x0, off, digit):
+    spec, m = example_spec(), ExpandingMap(2)
+    x_it, y_it = witness_pair(x0, off, digit)
+    res = u_holonomy(spec, m, x_it, y_it)
+    assert not res.converged
+    got = (res.h, res.depth_used, res.cauchy_residual, res.converged, res.residuals)
+    assert result_bits(got) == result_bits(reference_holonomy(spec, m, x_it, y_it))
+
+
 def test_equivariance_refuses_diverged_limits():
     spec, m = example_spec(), ExpandingMap(2)
     x_it, y_it = witness_pair(0.11, 0.01, 0)

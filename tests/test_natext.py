@@ -74,6 +74,20 @@ def test_bump_profile(real8):
 
 
 @pytest.mark.parametrize("k", [2, 8])
+def test_h_is_the_row_of_h_many_bitwise(k, real2, real8):
+    # fiber_step takes h(x), the separation certificate h_many; both rows
+    # come from one bump body, so a point's bump vector has one value
+    real = {2: real2, 8: real8}[k]
+    edges = [(c + s * r) % 1.0 for c in real.centers for s in (-1.0, 1.0)
+             for r in (real.r_inner, real.r_outer)]
+    xs = [0.0, math.nextafter(1.0, 0.0), *edges, *rng_from(31, k).random(2000).tolist()]
+    for x in xs:
+        got, want = real.h(x), real.h_many([x])[0]
+        assert got.shape == (real.n_charts,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), x
+
+
+@pytest.mark.parametrize("k", [2, 8])
 def test_separation_certificate_is_a_lower_bound(k, real2, real8):
     """Brute-force the branch-pair gap on a finer grid than the certificate
     used; the certified value must stay below every observed gap."""

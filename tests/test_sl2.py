@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _util import (as_array, det, mat_gap, proj_distance, projective_action, random_sl2,
-                   rotation)
+from _util import as_array, det, proj_distance, projective_action, random_sl2, rotation
 from cocyclelab import Mat2, NumericOverflowError, ProjPoint, op_norm
 from cocyclelab.sl2 import DET_TOL, _pushed_angles, _s_max, _svd_raw
 
@@ -158,8 +157,8 @@ def test_fast_path_matches_construction_before_it(entries):
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=4),
        st.integers(min_value=-12, max_value=0))
 @settings(max_examples=300, deadline=None)
-def test_fast_path_matches_construction_before_it_near_det_one(entries, log_off):
-    """Mat2 equals the sqrt(det) renormalization around the DET_TOL edge."""
+def test_constructor_renormalizes_at_the_det_tol_edge(entries, log_off):
+    """Mat2 keeps a det within DET_TOL of 1 and divides any other by sqrt(det)."""
     # scale a random matrix to det 1, then move det off 1 by about 10^log_off
     a, b, c, d = entries
     det = a * d - b * c
@@ -178,14 +177,6 @@ def test_product_closure_det_one(seed):
         m = m @ random_sl2(rng)
     # det is evaluated with cancellation ~ eps * cond(m); cond = op_norm^2
     assert abs(det(m) - 1.0) <= 1e-13 * max(1.0, op_norm(m) ** 2)
-
-
-@given(seeds)
-@settings(max_examples=100, deadline=None)
-def test_inverse_is_group_inverse(seed):
-    m = sl2_from_seed(seed)
-    assert mat_gap(m @ m.inverse(), Mat2.identity()) <= 1e-12
-    assert mat_gap(m.inverse() @ m, Mat2.identity()) <= 1e-12
 
 
 def test_matmul_against_numpy():
