@@ -149,16 +149,18 @@ def _orbit(k: int, digits, n: int) -> np.ndarray:
     """x_0 .. x_{n-1} from a digit stream; each window of w digits read as one int64.
 
     p holds the windows of s = 1, 2, 4, ... digits; v joins them by the bits of w.
+    Windows run along the last axis, so a (rows, m) array of streams gives the
+    (rows, n) orbits, each row the bits of a 1-D call on it.
     """
     w = window_width(k)
-    p = np.asarray(digits[:n + w], dtype=np.int64)
+    p = np.asarray(digits)[..., :n + w].astype(np.int64, copy=False)
     v, used, s = 0, 0, 1
     while s <= w:
         if w & s:
-            v = v * k**s + p[used:used + n]
+            v = v * k**s + p[..., used:used + n]
             used += s
         if 2 * s <= w:
-            p = p[:-s] * k**s + p[s:]
+            p = p[..., :-s] * k**s + p[..., s:]
         s *= 2
     return v / float(k**w)
 

@@ -37,6 +37,10 @@ _BLOCK = 4096
 _SHORT = 16
 # norm-growth samples reduced together, one row each; memory grows with it
 _ROWS = 4
+# a full norm-growth block runs its own levels down to _NARROW matrices per row,
+# then up to _BATCH such blocks finish together (_block_products)
+_NARROW = 64
+_BATCH = 8
 # bytes of the C heap chunk freed before norm growth; see _keep_heap_resident
 _HEAP_CHUNK = 4 << 20
 
@@ -219,12 +223,15 @@ def evaluate(spec: CocycleSpec, x: float) -> tuple[float, float, float, float]:
 
 
 def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
-    """TWO_PI * g(x) over an array or at a float, by CocycleSpec.twist's expression and bits."""
-    g = spec.winding * xs
-    if spec._plan:
-        a = TWO_PI * xs
-        g = g + _trig_sum(spec._plan, np.cos(a), np.sin(a))
-    return TWO_PI * g
+    """TWO_PI * g(x) over an array or at a float, with CocycleSpec.twist's bits."""
+    if not spec._plan:
+        return TWO_PI * (spec.winding * xs)
+    a = TWO_PI * xs
+    c, s = np.cos(a), np.sin(a)
+    del a
+    # _trig_sum, a block's peak on a twist with terms, runs with a freed and
+    # before winding * xs is formed; addition commutes, so the bits hold
+    return TWO_PI * (_trig_sum(spec._plan, c, s) + spec.winding * xs)
 
 
 def _entries(spec: CocycleSpec, xs: np.ndarray):
@@ -235,6 +242,7 @@ def _entries(spec: CocycleSpec, xs: np.ndarray):
     """
     ang = _angles(spec, xs)
     cs, sn = np.cos(ang), np.sin(ang)
+    del ang  # one array fewer while the entries are built, a norm-growth block's peak
     b = spec.base
     return _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs)
 
@@ -283,13 +291,10 @@ def _pull(p):
     """Scale each matrix of the stack p to Frobenius norm sqrt(2), in place.
 
     Returns the log of each matrix's scale over sqrt(2).  The squared norm
-    is summed entry by entry, in _product_step's order.
+    is summed entry by entry, in _product_step's order: a reduction over
+    the outer axis of the (4, ...) squares adds them left to right.
     """
-    a, b, c, d = p[0, 0], p[0, 1], p[1, 0], p[1, 1]
-    fr = a * a
-    fr += b * b
-    fr += c * c
-    fr += d * d
+    fr = np.add.reduce(np.square(p.reshape((4,) + p.shape[2:])))
     np.sqrt(fr, out=fr)
     p *= SQRT2 / fr
     fr /= SQRT2
@@ -307,37 +312,55 @@ def _reduce(ea, eb, ec, ed):
     level unchanged.  Every row is reduced by the same tree, so a row gives
     the same bits as a 1-D call on it.
 
-    The first level multiplies the four entry arrays into one (2, 2, ...)
-    stack of pair products (for n = 1 it is empty and the lone matrix is
-    the leftover); every later level works on that stack.  The entries are
-    never copied into a full-size stack, which would only add to the ~1.5 MB
-    of arrays a (4, 4096) block allocates and frees; _keep_heap_resident is
-    what keeps those pages in the C heap from block to block.  A zero,
-    infinite or NaN norm at any level makes its log -inf, inf or NaN, and
-    every log is summed into the root, so one finiteness test on the root
-    logs finds it.
+    The work is split in three, so that _block_products can run the narrow
+    levels of several norm-growth blocks together: _first_level, _levels
+    (down to a given width) and _root.  A zero, infinite or NaN norm at any level
+    makes its log -inf, inf or NaN, and every log is summed into the root,
+    so one finiteness test on the root logs finds it.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _root(*_levels(*_first_level(ea, eb, ec, ed)))
+
+
+def _first_level(ea, eb, ec, ed):
+    """_reduce's first level: the four entry arrays into one (2, 2, ...) stack.
+
+    Returns the stack of pair products, pulled, and their logs (for n = 1
+    the stack is empty and the lone matrix is the leftover).  The entries
+    are never copied into a full-size stack, which would only add to the
+    arrays a block allocates and frees.  Call it under _reduce's errstate.
     """
     n = ea.shape[-1]
     h = n & ~1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m = np.array(_mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
-                          ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2]))
-        m = m.reshape((2, 2) + m.shape[1:])
-        logs = _pull(m)
+    m = np.array(_mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
+                      ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2]))
+    m = m.reshape((2, 2) + m.shape[1:])
+    logs = _pull(m)
+    if h < n:
+        last = np.array(((ea[..., -1:], eb[..., -1:]), (ec[..., -1:], ed[..., -1:])))
+        m = np.concatenate((m, last), axis=-1)
+        logs = np.concatenate((logs, np.zeros(logs.shape[:-1] + (1,))), axis=-1)
+    return m, logs
+
+
+def _levels(m, logs, width: int = 1):
+    """_reduce's later levels on the stack m, until it holds at most width
+    matrices along the last axis.  Call it under _reduce's errstate."""
+    while m.shape[-1] > width:
+        n = m.shape[-1]
+        h = n & ~1
+        p = _mul_stacked(m[..., 1:h:2], m[..., :h:2])
+        level_log = _pull(p)
+        level_log += logs[..., 1:h:2] + logs[..., :h:2]
         if h < n:
-            last = np.array(((ea[..., -1:], eb[..., -1:]), (ec[..., -1:], ed[..., -1:])))
-            m = np.concatenate((m, last), axis=-1)
-            logs = np.concatenate((logs, np.zeros(logs.shape[:-1] + (1,))), axis=-1)
-        while m.shape[-1] > 1:
-            n = m.shape[-1]
-            h = n & ~1
-            p = _mul_stacked(m[..., 1:h:2], m[..., :h:2])
-            level_log = _pull(p)
-            level_log += logs[..., 1:h:2] + logs[..., :h:2]
-            if h < n:
-                p = np.concatenate((p, m[..., -1:]), axis=-1)
-                level_log = np.concatenate((level_log, logs[..., -1:]), axis=-1)
-            m, logs = p, level_log
+            p = np.concatenate((p, m[..., -1:]), axis=-1)
+            level_log = np.concatenate((level_log, logs[..., -1:]), axis=-1)
+        m, logs = p, level_log
+    return m, logs
+
+
+def _root(m, logs):
+    """(a, b, c, d, log_scale) of a fully reduced stack, after one finiteness test."""
     if not np.isfinite(logs).all():
         raise NumericOverflowError("degenerate step in scaled product")
     return m[0, 0, ..., 0], m[0, 1, ..., 0], m[1, 0, ..., 0], m[1, 1, ..., 0], logs[..., 0]
@@ -496,13 +519,14 @@ def _keep_heap_resident() -> None:
 
     glibc serves a request above its mmap threshold (128 KiB at start-up)
     from a fresh mapping, and hands free heap above its trim threshold back
-    to the system.  A (4, 4096) norm-growth block allocates and frees ~1.5 MB
-    of arrays, most of them just above 128 KiB, so without this every block
-    maps and faults its pages in afresh.  Freeing a mapped chunk raises the
-    two thresholds to its size and twice that (mallopt(3), dynamic mmap
-    threshold), and the blocks then reuse the heap.  The chunk is never
-    written, so it costs no page faults.  Another C allocator just frees it;
-    where no C malloc is found this does nothing.
+    to the system.  A (4, 4096) norm-growth block holds up to ~1.5 MB of
+    arrays at once (its orbit, entries and wide levels), most of them 128 KiB
+    or just above, so without this every block maps and faults its pages in
+    afresh.  Freeing a mapped chunk raises the two thresholds to its size and
+    twice that (mallopt(3), dynamic mmap threshold), and the blocks then
+    reuse the heap.  The chunk is never written, so it costs no page faults.
+    Another C allocator just frees it; where no C malloc is found this does
+    nothing.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -514,36 +538,65 @@ def _keep_heap_resident() -> None:
     free(malloc(_HEAP_CHUNK))
 
 
+def _block_products(spec: CocycleSpec, k: int, digits: np.ndarray, start: int, stop: int):
+    """The product of each block of orbit steps start .. stop - 1, in order.
+
+    digits holds one stream per row, and each block yields (a, b, c, d,
+    log_scale), arrays over the rows, with _reduce's bits.  Full _BLOCK
+    blocks go in batches of up to _BATCH: each runs _reduce's wide levels
+    alone, down to _NARROW matrices per row, in one expression, so its
+    entry and level arrays are freed before the next block is built; then
+    the batch runs its narrow levels together along a new axis, by the same
+    tree, so those small levels cost their numpy calls once per batch.  A
+    last, shorter block goes to _reduce.
+    """
+    # the narrow stacks of a batch, allocated before any block so that they
+    # do not split the heap the blocks' scratch arrays reuse
+    m = np.empty((2, 2, _BATCH, digits.shape[0], _NARROW))
+    logs = np.empty((_BATCH, digits.shape[0], _NARROW))
+    tail = stop - (stop - start) % _BLOCK
+    for lo in range(start, tail, _BATCH * _BLOCK):
+        batch = range(lo, min(lo + _BATCH * _BLOCK, tail), _BLOCK)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for j, b in enumerate(batch):
+                m[:, :, j], logs[j] = _levels(
+                    *_first_level(*_entries(spec, _orbit(k, digits[:, b:], _BLOCK))), _NARROW)
+            root = _root(*_levels(m[:, :, :len(batch)], logs[:len(batch)]))
+        yield from zip(*root)
+    if tail < stop:
+        yield _reduce(*_entries(spec, _orbit(k, digits[:, tail:], stop - tail)))
+
+
 def _norm_growth_group(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,
                        rngs: list[np.random.Generator]) -> list[float]:
     """One norm-growth value per generator, the samples advanced in lockstep.
 
     Each generator draws its digit stream and then its starting angle.  The
     stream is drawn in chunks of at most _BLOCK digits, which give the bits
-    of one draw of the whole stream, straight into the smallest unsigned
-    dtype that holds k - 1: one byte per step for k <= 256, and no int64
-    copy of the whole stream.
+    of one draw of the whole stream, straight into its row of one
+    (samples, steps + w) array of the smallest unsigned dtype that holds
+    k - 1: one byte per step for k <= 256, and no int64 copy of the whole
+    stream.  _block_products turns it into block products, each block's
+    orbit one _orbit call over every row; the vectors then take the
+    products in order, so the bits are those of one _reduce call per block.
     """
     w = window_width(k)
     total = burn_in + n_steps
-    digits, vs = [], []
-    for rng in rngs:
-        ds = np.empty(total + w, dtype=np.min_scalar_type(k - 1))
+    digits = np.empty((len(rngs), total + w), dtype=np.min_scalar_type(k - 1))
+    vs = []
+    for ds, rng in zip(digits, rngs):
         for lo in range(0, ds.size, _BLOCK):
             ds[lo:lo + _BLOCK] = rng.integers(0, k, size=min(_BLOCK, ds.size - lo))
-        digits.append(ds)
         theta0 = rng.random() * math.pi
         vs.append((math.cos(theta0), math.sin(theta0)))
 
     # sum log |A(x_j) v_j| over the counted steps block by block: it telescopes,
     # so log|M v| of each block product M = exp(log_scale) [[a, b], [c, d]] is
-    # the block's share; no block straddles the burn-in.  One _reduce call
-    # takes the block of every sample, one row each.
+    # the block's share; no block straddles the burn-in.
     acc = [0.0] * len(rngs)
     for start, stop, counted in ((0, burn_in, False), (burn_in, total, True)):
-        for lo in range(start, stop, _BLOCK):
-            xs = np.stack([_orbit(k, ds[lo:], min(_BLOCK, stop - lo)) for ds in digits])
-            rows = zip(*(v.tolist() for v in _reduce(*_entries(spec, xs))))
+        for block in _block_products(spec, k, digits, start, stop):
+            rows = zip(*(v.tolist() for v in block))
             for i, (a, b, c, d, log_scale) in enumerate(rows):
                 vx, vy = vs[i]
                 wx = a * vx + b * vy

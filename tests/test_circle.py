@@ -245,6 +245,19 @@ def test_orbit_is_the_integer_register_reading(k):
     assert empty.shape == (0,) and empty.dtype == np.float64
 
 
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("k", [2, 3, 8, 10, 256])
+def test_orbit_rows_match_one_dimensional_calls(k, n):
+    """A (rows, m) array of streams gives each row the bits of its own 1-D call."""
+    w = window_width(k)
+    digits = np.random.default_rng(k).integers(0, k, (3, n + w + 5))
+    digits = digits.astype(np.min_scalar_type(k - 1))[:, 5:]
+    got = circle._orbit(k, digits, n)
+    assert got.shape == (3, n) and got.dtype == np.float64
+    for row, ds in zip(got, digits):
+        assert row.tobytes() == circle._orbit(k, ds, n).tobytes()
+
+
 def test_orbit_requires_window_surplus():
     with pytest.raises(ValueError):
         orbit_from_digits(2, [0, 1] * 20, 40)

@@ -52,6 +52,7 @@ from cocyclelab.cocycle import (
     _norm_growth_group,
     _product_along,
     _product_step,
+    _pull,
     _reduce,
     _reduce_short,
 )
@@ -435,6 +436,23 @@ def test_reduce_rejects_one_degenerate_row():
         _reduce(ea, eb, ec, ed)
 
 
+def test_pull_sums_the_squares_left_to_right():
+    """_pull's squared norm is ((a^2 + b^2) + c^2) + d^2, _product_step's sum.
+    On the first matrix, pairwise summation (a^2 + b^2) + (c^2 + d^2) would
+    round up one ulp where the left-to-right sum does not."""
+    e = 8.8e-9
+    assert ((1.0 + 0.0) + e * e) + e * e != (1.0 + 0.0) + (e * e + e * e)
+    rng = np.random.default_rng(5)
+    mats = [(1.0, 0.0, e, e), (0.0, 1.0, e, -e), (e, -1.0, e, 0.0)]
+    mats += [tuple(rng.normal(size=4).tolist()) for _ in range(9)]
+    p = np.array(mats).T.reshape(2, 2, 3, 4)
+    logs = _pull(p)
+    norms = [math.sqrt(a * a + b * b + c * c + d * d) for a, b, c, d in mats]
+    want = [[v * (math.sqrt(2.0) / fr) for v in m] for m, fr in zip(mats, norms)]
+    assert hex_bits(p.reshape(4, 12).T) == hex_bits(want)
+    assert hex_bits([logs]) == hex_bits([np.log(np.array(norms) / math.sqrt(2.0))])
+
+
 def reduce_by_entry_arrays(ea, eb, ec, ed):
     """The reduction on four separate entry arrays, as it stood before the
     entries were stacked: _mul on strided slices and a range check per level."""
@@ -675,6 +693,56 @@ def test_norm_growth_groups_keep_each_sample_seed(n_samples):
                              for i in range(n_samples)])
     assert est.value == pytest.approx(mean, abs=1e-14)
     assert est.std_error == pytest.approx(se, abs=1e-14)
+
+
+def per_block_norm_growth(spec, k, n_steps, burn_in, rngs) -> list[float]:
+    """_norm_growth_group as it stood before its blocks shared their narrow
+    levels: one _orbit call per row, stacked, and one _reduce call per block."""
+    w = window_width(k)
+    total = burn_in + n_steps
+    digits, vs = [], []
+    for rng in rngs:
+        ds = np.empty(total + w, dtype=np.min_scalar_type(k - 1))
+        for lo in range(0, ds.size, _BLOCK):
+            ds[lo:lo + _BLOCK] = rng.integers(0, k, size=min(_BLOCK, ds.size - lo))
+        digits.append(ds)
+        theta0 = rng.random() * math.pi
+        vs.append((math.cos(theta0), math.sin(theta0)))
+    acc = [0.0] * len(rngs)
+    for start, stop, counted in ((0, burn_in, False), (burn_in, total, True)):
+        for lo in range(start, stop, _BLOCK):
+            xs = np.stack([_orbit(k, ds[lo:], min(_BLOCK, stop - lo)) for ds in digits])
+            rows = zip(*(v.tolist() for v in _reduce(*_entries(spec, xs))))
+            for i, (a, b, c, d, log_scale) in enumerate(rows):
+                vx, vy = vs[i]
+                wx = a * vx + b * vy
+                wy = c * vx + d * vy
+                nrm = math.sqrt(wx * wx + wy * wy)
+                if counted:
+                    acc[i] += log_scale + math.log(nrm)
+                vs[i] = (wx / nrm, wy / nrm)
+    return [s / n_steps for s in acc]
+
+
+# (burn_in, n_steps): 0, 1, 7, 8, 9 and 17 full counted blocks, with and
+# without a partial last block, and burn-ins of one partial, one full plus
+# one partial, and two full blocks
+BLOCK_COUNTS = [
+    (100, 1000), (0, _BLOCK), (100, 7 * _BLOCK + 5), (2 * _BLOCK, 8 * _BLOCK),
+    (_BLOCK + 904, 9 * _BLOCK + 1), (100, 17 * _BLOCK + 300),
+]
+
+
+@pytest.mark.parametrize("burn_in,n_steps", BLOCK_COUNTS)
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("make_spec", [example_spec, twisted_spec], ids=["example", "perturbed"])
+def test_norm_growth_matches_per_block_reduce_bitwise(make_spec, k, burn_in, n_steps):
+    """Blocks that finish their narrow levels together give each sample the
+    bits of one _reduce call per block."""
+    spec = make_spec()
+    got = _norm_growth_group(spec, k, n_steps, burn_in, [rng_from(9, k, i) for i in range(3)])
+    want = per_block_norm_growth(spec, k, n_steps, burn_in, [rng_from(9, k, i) for i in range(3)])
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_norm_growth_memory_stays_small():
