@@ -15,7 +15,9 @@ sample the wrong invariant measure.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -43,6 +45,7 @@ _NARROW = 64
 _BATCH = 8
 # bytes of the C heap chunk freed before norm growth; see _keep_heap_resident
 _HEAP_CHUNK = 4 << 20
+_BITS = struct.Struct("4d").pack  # the exact bits of entries (a, b, c, d), _ladder's key
 
 
 def rng_from(*keys) -> np.random.Generator:
@@ -226,8 +229,9 @@ def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
     """TWO_PI * g(x) over an array or at a float, with CocycleSpec.twist's bits."""
     if not spec._plan:
         return TWO_PI * (spec.winding * xs)
+    trig = math if isinstance(xs, float) else np
     a = TWO_PI * xs
-    c, s = np.cos(a), np.sin(a)
+    c, s = trig.cos(a), trig.sin(a)
     del a
     # _trig_sum, a block's peak on a twist with terms, runs with a freed and
     # before winding * xs is formed; addition commutes, so the bits hold
@@ -237,11 +241,12 @@ def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
 def _entries(spec: CocycleSpec, xs: np.ndarray):
     """The entries (a, b, c, d) of A(x) = base . R(2 pi g(x)) over an array xs.
 
-    At a float x they are numpy scalars: numpy's scalar ufuncs run the
-    loops its array calls run, so they carry the bits of an array element.
+    At a float x (a numpy float64 too) they are floats from math.cos and math.sin,
+    which give np.cos's and np.sin's bits: an array element's, and evaluate's.
     """
+    trig = math if isinstance(xs, float) else np
     ang = _angles(spec, xs)
-    cs, sn = np.cos(ang), np.sin(ang)
+    cs, sn = trig.cos(ang), trig.sin(ang)
     del ang  # one array fewer while the entries are built, a norm-growth block's peak
     b = spec.base
     return _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs)
@@ -404,14 +409,13 @@ def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:
     """Scaled product of A over consecutive orbit blocks (first point first).
 
     A block of at most _SHORT points is reduced by _reduce_short on the
-    entries of each point (_entries on a float runs numpy's scalar ufuncs,
-    the loops the array path runs), a longer one by _reduce on entry
-    arrays; the two give the same bits.
+    entries of each point (_entries on a float, in Python floats), a longer
+    one by _reduce on entry arrays; the two give the same bits.
     """
     ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
     for xs in blocks:
         if len(xs) <= _SHORT:
-            block = _reduce_short([tuple(map(float, _entries(spec, x))) for x in xs])
+            block = _reduce_short([_entries(spec, x) for x in xs])
         else:
             block = map(float, _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64))))
         ea, eb, ec, ed, block_log = block
@@ -431,9 +435,10 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     steps when the lowest set bit of x is 2^-p (p <= 1074).  Each block is
     grown by doubling, 1, 2, 4, ... points, until it is full or its last
     point is fixed; then the orbit stops at its first visit to x*, and the
-    r steps left are A(x*)^r, left-multiplied by binary powering in about
-    2 log2 r scalar steps.  The head before x* is often a short block,
-    which _product_of_blocks reduces in Python floats with _reduce's bits.
+    r steps left are A(x*)^r, left-multiplied by binary powering through
+    _ladder's cached squares (the 4096 seed products of a section at k = 8
+    share two ladders).  A(x*) and the head before x*, often a short block
+    for _reduce_short, take _entries' float path and build no numpy scalar.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -463,15 +468,24 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     if fixed is None:
         return p
     x, r = fixed
-    ea, eb, ec, ed = map(float, _entries(spec, x))
-    ma, mb, mc, md, logs, e_log = p.a, p.b, p.c, p.d, p.log_scale, 0.0
-    while True:
+    ma, mb, mc, md, logs = p.a, p.b, p.c, p.d, p.log_scale
+    for ea, eb, ec, ed, e_log in _ladder(_BITS(*_entries(spec, x)), r.bit_length()):
         if r & 1:
             ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + e_log, ea, eb, ec, ed)
         r >>= 1
-        if not r:
-            return ScaledMatrix(ma, mb, mc, md, logs)
-        ea, eb, ec, ed, e_log = _product_step(ea, eb, ec, ed, e_log + e_log, ea, eb, ec, ed)
+    return ScaledMatrix(ma, mb, mc, md, logs)
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder(bits: bytes, depth: int) -> tuple:
+    """A^(2^j), j < depth, as (a, b, c, d, log_scale) by scaled squaring, for
+    the A whose entries _BITS packed: specs that compare equal can differ in
+    the sign of a zero base entry, and so in A(x*)'s bits."""
+    rungs = [(*struct.unpack("4d", bits), 0.0)]
+    while len(rungs) < depth:
+        ea, eb, ec, ed, e_log = rungs[-1]
+        rungs.append(_product_step(ea, eb, ec, ed, e_log + e_log, ea, eb, ec, ed))
+    return tuple(rungs)
 
 
 def _product_along(spec: CocycleSpec, xs) -> ScaledMatrix:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -48,11 +49,18 @@ class ProjectiveLoop:
 
     def value(self, x):
         """Angle at x (float or array) by interpolation along the shorter projective arc."""
-        t = np.mod(x, 1.0) * self.n
-        j = np.floor(t).astype(np.int64)
-        s0 = self.samples[j % self.n]  # x mod 1 can round up to 1.0
-        s1 = self.samples[(j + 1) % self.n]
-        return _wrap(s0 + (t - j) * _arc(s0, s1))
+        return self._interpolate(*_interpolation(x, self.n))
+
+    def _interpolate(self, j0, j1, w):
+        s0 = self.samples[j0]  # value's apply step, on _interpolation's plan
+        return _wrap(s0 + w * _arc(s0, self.samples[j1]))
+
+
+def _interpolation(x, n: int):
+    """value's plan at x on n samples: the indices of the samples around x and a weight."""
+    t = np.mod(x, 1.0) * n
+    j = np.floor(t).astype(np.int64)
+    return j % n, (j + 1) % n, t - j  # x mod 1 can round up to 1.0
 
 
 def winding_number(loop: ProjectiveLoop) -> int:
@@ -75,8 +83,8 @@ def winding_number(loop: ProjectiveLoop) -> int:
 
 def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Angles of A(x) v(t) in [0, pi), one per point (x, t) of xs and angles in [0, pi)."""
-    entries = (evaluate(spec, x) for x in xs.tolist())  # one evaluate per point, as it is read
-    return _wrap(np.array(_pushed_angles(entries, angles.tolist())))
+    entries = map(evaluate, repeat(spec), xs.tolist())  # one evaluate per point, as it is read
+    return _wrap(_pushed_angles(entries, angles))
 
 
 def _action_loop(spec: CocycleSpec, angle: float, grid_n: int) -> ProjectiveLoop:
@@ -189,8 +197,9 @@ def section_consistency_search(spec: CocycleSpec, m: ExpandingMap,
         loop = ProjectiveLoop(init.samples + rng_from(seed).uniform(-0.3, 0.3, size=grid_n))
 
     xs = np.arange(grid_n) / grid_n / m.k  # inverse branch 0
+    plan = _interpolation(xs, grid_n)
     for _ in range(n_iterations):
-        loop = ProjectiveLoop(_push(spec, xs, loop.value(xs)))
+        loop = ProjectiveLoop(_push(spec, xs, loop._interpolate(*plan)))
 
     return loop, section_residual(spec, m, loop)
 

@@ -135,11 +135,13 @@ def _dist(p, q):
     return np.minimum(d, PI - d)
 
 
-def _pushed_angles(entries, ts) -> list[float]:
+def _pushed_angles(entries, ts) -> np.ndarray:
     """atan2 of [[a, b], [c, d]] (cos t, sin t), before wrapping, per entry tuple and
-    angle; entries (a generator, say) is read first, so once per t of an equal-length ts."""
-    return [math.atan2(c * x + d * y, a * x + b * y)
-            for (a, b, c, d), t in zip(entries, ts) for x, y in ((math.cos(t), math.sin(t)),)]
+    angle; entries (a generator, say) is read first, so once per t of an equal-length ts.
+    cos and sin of all ts take one numpy call each, with math's bits."""
+    return np.fromiter((math.atan2(c * x + d * y, a * x + b * y) for (a, b, c, d), x, y
+                        in zip(entries, np.cos(ts).tolist(), np.sin(ts).tolist())),
+                       np.float64, len(ts))
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,6 +41,7 @@ from cocyclelab import (
 )
 from cocyclelab.circle import _orbit, window_width
 from cocyclelab.cocycle import (
+    _BITS,
     _BLOCK,
     _ROWS,
     _SHORT,
@@ -48,6 +49,7 @@ from cocyclelab.cocycle import (
     _angles,
     _entries,
     _keep_heap_resident,
+    _ladder,
     _mean_stderr,
     _norm_growth_group,
     _product_along,
@@ -643,6 +645,80 @@ def test_product_tail_at_a_fixed_point_matches_the_dense_tree(k, x):
             except NoHyperbolicityError:
                 continue
             assert proj_distance(got.stable_direction(1e3), e_want) <= 1e-13, n
+
+
+def product_bits(spec, k, x, n) -> list[str]:
+    p = cocycle_product(spec, ExpandingMap(k), x, n)
+    return [v.hex() for v in (p.a, p.b, p.c, p.d, p.log_scale)]
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_ladder_cache_changes_no_product(k):
+    """cocycle_product's bits with a cold ladder cache, a warm one and after
+    cache_clear(), for two specs whose orbits settle on the same x* = 0."""
+    specs = (example_spec(), twisted_spec())
+    points = (0.0, 0.5, 3 / 64, 0.1, 0.7)
+    cases = [(spec, x, n) for spec in specs for x in points for n in (1, 2, 255, 256, 4097)]
+    cold = []
+    for spec, x, n in cases:
+        _ladder.cache_clear()
+        cold.append(product_bits(spec, k, x, n))
+    _ladder.cache_clear()
+    for _ in range(2):  # the first pass fills the cache, the second reads it
+        assert [product_bits(spec, k, x, n) for spec, x, n in cases] == cold
+    assert _ladder.cache_info().hits >= len(cases)
+    _ladder.cache_clear()
+    assert [product_bits(spec, k, x, n) for spec, x, n in reversed(cases)] == cold[::-1]
+
+
+def test_ladder_cache_is_bounded_and_keyed_by_bits():
+    """At most maxsize ladders stay cached, and a ladder is keyed by A(x*)'s
+    bits: specs equal but for the sign of a zero base entry get their own."""
+    _ladder.cache_clear()
+    size = _ladder.cache_info().maxsize
+    assert size is not None and size <= 64
+    for j in range(size + 10):
+        spec = CocycleSpec(base=Mat2.diagonal(2.0 + j), winding=1)
+        cocycle_product(spec, ExpandingMap(2), 0.5, 300)
+    assert _ladder.cache_info().currsize == size
+    plus = CocycleSpec(base=Mat2(2.0, 0.0, 0.0, 0.5), winding=1)
+    minus = CocycleSpec(base=Mat2(2.0, -0.0, 0.0, 0.5), winding=1)
+    assert plus == minus
+    rungs = [_ladder(_BITS(*_entries(s, 0.0)), 3) for s in (plus, minus)]
+    assert [math.copysign(1.0, r[1]) for r in rungs[0]] == [1.0] * 3
+    assert [math.copysign(1.0, r[1]) for r in rungs[1]] == [-1.0] * 3
+
+
+def test_entries_at_a_float_are_evaluates_floats():
+    """_entries' float path gives Python floats with evaluate's bits, at a
+    float and at a numpy float64."""
+    for spec in (example_spec(), twisted_spec()):
+        for x in (0.0, 0.5, 0.1, np.nextafter(1.0, 0.0)):
+            want = [v.hex() for v in evaluate(spec, x)]
+            for arg in (x, np.float64(x)):
+                got = _entries(spec, arg)
+                assert [type(v) for v in got] == [float] * 4
+                assert [v.hex() for v in got] == want
+
+
+def test_numpy_cos_and_sin_are_math_bitwise():
+    """np.cos and np.sin on float64 arrays give math.cos's and math.sin's bits.
+
+    Code that relies on it: evaluate (math) and _entries (numpy) must agree,
+    _entries' float path takes math.cos and math.sin for numpy's bits, and
+    sl2._pushed_angles takes cos and sin of its angles from numpy for math's.
+    """
+    rng = np.random.default_rng(29)
+    subnormal = rng.integers(1, 2**52, size=2000).view(np.float64)
+    xs = np.concatenate([rng.uniform(0.0, TWO_PI, size=20000),
+                         rng.uniform(-1e6, 1e6, size=5000), [1e6, -1e6, 0.0, -0.0],
+                         subnormal, -subnormal])
+    for np_f, math_f in ((np.cos, math.cos), (np.sin, math.sin)):
+        got = np_f(xs)
+        bad = [x for x, v in zip(xs.tolist(), got.tolist()) if v.hex() != math_f(x).hex()]
+        assert not bad, (f"np.{np_f.__name__} differs from math.{math_f.__name__} at "
+                         f"{len(bad)} points, first {bad[0]!r}: evaluate and _entries, "
+                         "_entries' float path and sl2._pushed_angles rely on their bits")
 
 
 # -- norm-growth estimator ----------------------------------------------------

@@ -106,3 +106,22 @@ def test_counted_calls_match_the_config(args, counted, tmp_path, monkeypatch):
     want_evals, want_steps = EXPECTED[args[0]](config)
     assert (counted["evals"], counted["product_steps"]) == (want_evals, want_steps)
 
+
+
+def test_counted_calls_hold_with_a_warm_ladder_cache(counted, tmp_path, monkeypatch):
+    """One section config run twice in one process: the second run finds A(0)'s
+    squares in cocycle._ladder's cache, which must neither hide nor add a
+    counted call, nor change a result."""
+    monkeypatch.chdir(tmp_path)
+    cocycle._ladder.cache_clear()
+    totals, results = [], []
+    for run in range(2):
+        counted.update(evals=0, product_steps=0)
+        out = tmp_path / f"report{run}.json"
+        assert main([*RUNS[0], "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        totals.append((counted["evals"], counted["product_steps"]))
+        results.append(report["results"])
+    assert cocycle._ladder.cache_info().hits > 0
+    assert totals[0] == totals[1] == EXPECTED["section"](report["config"])
+    assert results[0] == results[1]

@@ -25,8 +25,8 @@ from cocyclelab import (
     twist_degree,
     winding_number,
 )
-from cocyclelab.sections import _push
-from cocyclelab.sl2 import _dist, _pushed_angles
+from cocyclelab.sections import _interpolation, _push
+from cocyclelab.sl2 import _arc, _dist, _pushed_angles, _wrap
 
 PI = math.pi
 
@@ -105,6 +105,44 @@ def test_loop_value_on_an_array_is_the_scalar_value():
     for want in ([loop.value(x) for x in xs.tolist()],
                  [value_by_floats(loop, x) for x in xs.tolist()]):
         assert np.array_equal(values.view(np.int64), np.array(want).view(np.int64))
+
+
+def value_by_arrays(loop: ProjectiveLoop, x):
+    """value's body before its plan and apply steps were split, in numpy."""
+    t = np.mod(x, 1.0) * loop.n
+    j = np.floor(t).astype(np.int64)
+    s0 = loop.samples[j % loop.n]
+    s1 = loop.samples[(j + 1) % loop.n]
+    return _wrap(s0 + (t - j) * _arc(s0, s1))
+
+
+@pytest.mark.parametrize("k,grid_n", [(2, 64), (3, 256), (8, 4096)])
+def test_search_interpolation_plan_is_value_bitwise(k, grid_n):
+    """The plan section_consistency_search makes once for its branch-0 points,
+    applied to a loop, gives value's bits; so do the edge points' plans."""
+    loop = smooth_loop(3, n=grid_n, seed=k)
+    xs = np.arange(grid_n) / grid_n / k
+    edges = [1.0, -1e-20, -0.0, 1.25e-18]
+    for x in (xs, np.array(edges), *edges):
+        got = loop._interpolate(*_interpolation(x, loop.n))
+        for want in (value_by_arrays(loop, x), np.array(
+                [value_by_floats(loop, v) for v in np.atleast_1d(x).tolist()])):
+            assert np.array_equal(np.atleast_1d(got).view(np.int64),
+                                  np.atleast_1d(want).view(np.int64))
+    # s0 + w * step = -1e-20 at 1.25e-18, as in test_loop_value_stays_below_pi
+    pinned = ProjectiveLoop(np.where(np.arange(8) == 1, PI - 1e-3, 0.0))
+    assert pinned._interpolate(*_interpolation(1.25e-18, 8)) == 0.0
+
+
+def test_search_matches_sweeps_through_value():
+    """section_consistency_search's sweeps equal sweeps written with value."""
+    spec, m = example_spec(), ExpandingMap(8)
+    init = stable_direction_loop(spec, m, 64, 32)
+    loop, _ = section_consistency_search(spec, m, grid_n=64, n_iterations=5, init=init)
+    want, xs = init, np.arange(64) / 64 / 8
+    for _ in range(5):
+        want = ProjectiveLoop(_push(spec, xs, want.value(xs)))
+    assert np.array_equal(loop.samples.view(np.int64), want.samples.view(np.int64))
 
 
 def test_loop_value_takes_shorter_arc():
