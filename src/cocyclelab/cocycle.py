@@ -105,6 +105,8 @@ class CocycleSpec:
     # the terms sorted by frequency as (frequency step, amp cos phase, amp sin phase),
     # which _trig_sum reads; derived in __post_init__, so replace() rebuilds it
     _plan: tuple[tuple[int, float, float], ...] = field(init=False, repr=False, compare=False)
+    # tree levels per pull in _reduce, from the sup norm; derived likewise
+    _pull_every: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "winding", _integral("winding", self.winding))
@@ -117,6 +119,7 @@ class CocycleSpec:
             plan.append((t.freq - f, t.amp * math.cos(t.phase), t.amp * math.sin(t.phase)))
             f = t.freq
         object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_pull_every", _pull_period(op_norm(self.base)))
 
     def twist(self, x: float) -> float:
         g = self.winding * x
@@ -148,6 +151,19 @@ class CocycleSpec:
     def lipschitz(self) -> float:
         """A Lipschitz constant for x -> A(x) in operator norm."""
         return self.sup_norm() * TWO_PI * self.twist_lipschitz()
+
+
+def _pull_period(sigma: float) -> int:
+    """The largest L >= 1 with 2^L log2(max(sigma, sqrt 2)) <= 256, for sigma = sup |A|.
+
+    A node multiplies about 2^L leaves or pulled nodes since the last pull, so
+    its squared entries stay below about 2^512.  Tested exactly, as sigma <=
+    2^(2^(8 - L)): sigma <= 2 gives 8 (the float sqrt 2 is above the real one).
+    """
+    every = 8
+    while every > 1 and sigma > 2.0 ** 2 ** (8 - every):
+        every -= 1
+    return every
 
 
 def _cis_power(c, s, n: int):
@@ -249,7 +265,14 @@ def _entries(spec: CocycleSpec, xs: np.ndarray):
     cs, sn = trig.cos(ang), trig.sin(ang)
     del ang  # one array fewer while the entries are built, a norm-growth block's peak
     b = spec.base
-    return _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs)
+    # evaluate's _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs) in place, with its bits
+    # (x - y*z is x + y*(-z)): no -sn array or sum temporaries are held
+    ea, eb, ec, ed = cs * b.a, cs * b.b, cs * b.c, cs * b.d
+    ea += sn * b.b
+    eb -= sn * b.a
+    ec += sn * b.d
+    ed -= sn * b.c
+    return ea, eb, ec, ed
 
 
 # -- scaled products ----------------------------------------------------------
@@ -260,7 +283,8 @@ class ScaledMatrix:
     """A matrix product held as exp(log_scale) * M with |M|_F = sqrt(2).
 
     The true product has det = 1, so det(M) = exp(-2 log_scale); singular
-    value ratios of M equal those of the true product.
+    value ratios of M equal those of the true product.  _reduce pulls its
+    root to norm sqrt(2), though not every level below it.
     """
 
     a: float
@@ -306,41 +330,35 @@ def _pull(p):
     return np.log(fr, out=fr)
 
 
-def _reduce(ea, eb, ec, ed):
+def _reduce(ea, eb, ec, ed, every: int):
     """E[..., n-1] ... E[..., 0] for n >= 1 along the last axis, by pairwise halving.
 
-    Returns (a, b, c, d, log_scale) as arrays over the leading axes, each
-    product being exp(log_scale) times [[a, b], [c, d]].  At each level the
-    later (odd-indexed) matrix of a pair is the left factor; each pair
-    product is pulled to Frobenius norm sqrt(2) and the log of that scale
-    joins the sum of its halves' logs.  An odd leftover carries to the next
-    level unchanged.  Every row is reduced by the same tree, so a row gives
-    the same bits as a 1-D call on it.
-
-    The work is split in three, so that _block_products can run the narrow
-    levels of several norm-growth blocks together: _first_level, _levels
-    (down to a given width) and _root.  A zero, infinite or NaN norm at any level
-    makes its log -inf, inf or NaN, and every log is summed into the root,
-    so one finiteness test on the root logs finds it.
+    Returns (a, b, c, d, log_scale) over the leading axes, each product
+    exp(log_scale) [[a, b], [c, d]].  A pair's later (odd-indexed) matrix is
+    its left factor and its log the sum of its halves'; an odd leftover
+    carries up unchanged.  Levels whose index (from 1) every divides, and the
+    root's, are pulled to Frobenius norm sqrt(2), the scale's log joining the
+    pair's (_pull_period keeps the levels between from overflowing).  Every
+    row takes the same tree, so it gets the bits of a 1-D call.  _first_level,
+    _levels and _root split the work for _block_products.  A zero, infinite
+    or NaN entry reaches the next pull as a log of -inf, inf or NaN, and all
+    logs sum into the root, so one finiteness test there finds it.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _root(*_levels(*_first_level(ea, eb, ec, ed)))
+        m, logs, _ = _levels(*_first_level(ea, eb, ec, ed, every), every)
+        return _root(m, logs)
 
 
-def _first_level(ea, eb, ec, ed):
-    """_reduce's first level: the four entry arrays into one (2, 2, ...) stack.
-
-    Returns the stack of pair products, pulled, and their logs (for n = 1
-    the stack is empty and the lone matrix is the leftover).  The entries
-    are never copied into a full-size stack, which would only add to the
-    arrays a block allocates and frees.  Call it under _reduce's errstate.
-    """
+def _first_level(ea, eb, ec, ed, every: int):
+    """_reduce's first level: the four entry arrays into one (2, 2, ...) stack of
+    pair products (empty for n = 1) and their logs, never copying the entries
+    into a full-size stack.  Call it under _reduce's errstate."""
     n = ea.shape[-1]
     h = n & ~1
     m = np.array(_mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
                       ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2]))
     m = m.reshape((2, 2) + m.shape[1:])
-    logs = _pull(m)
+    logs = _pull(m) if every == 1 or n == 2 else np.zeros(m.shape[2:])
     if h < n:
         last = np.array(((ea[..., -1:], eb[..., -1:]), (ec[..., -1:], ed[..., -1:])))
         m = np.concatenate((m, last), axis=-1)
@@ -348,20 +366,23 @@ def _first_level(ea, eb, ec, ed):
     return m, logs
 
 
-def _levels(m, logs, width: int = 1):
-    """_reduce's later levels on the stack m, until it holds at most width
-    matrices along the last axis.  Call it under _reduce's errstate."""
+def _levels(m, logs, every: int, level: int = 1, width: int = 1):
+    """_reduce's later levels on the stack m after its level-th, until it holds
+    at most width matrices along the last axis; returns (m, logs, level).
+    Call it under _reduce's errstate."""
     while m.shape[-1] > width:
         n = m.shape[-1]
         h = n & ~1
+        level += 1
         p = _mul_stacked(m[..., 1:h:2], m[..., :h:2])
-        level_log = _pull(p)
-        level_log += logs[..., 1:h:2] + logs[..., :h:2]
+        level_log = logs[..., 1:h:2] + logs[..., :h:2]
+        if level % every == 0 or n == 2:
+            level_log += _pull(p)
         if h < n:
             p = np.concatenate((p, m[..., -1:]), axis=-1)
             level_log = np.concatenate((level_log, logs[..., -1:]), axis=-1)
         m, logs = p, level_log
-    return m, logs
+    return m, logs, level
 
 
 def _root(m, logs):
@@ -371,37 +392,37 @@ def _root(m, logs):
     return m[0, 0, ..., 0], m[0, 1, ..., 0], m[1, 0, ..., 0], m[1, 1, ..., 0], logs[..., 0]
 
 
-def _reduce_short(ms):
+def _reduce_short(ms, every: int):
     """_reduce on a short list ms of entry tuples (a, b, c, d), in Python floats.
 
-    _reduce's bitwise twin, as sl2._mul_stacked is _mul's: the same tree
-    (the odd-indexed matrix the left factor through _mul, an odd leftover
-    carried with log 0.0), each node's squared norm summed in _pull's
-    order, and every log from one np.log call on the collected norms,
-    since math.log does not always give np.log's bits.  A zero, infinite
-    or NaN norm raises before it divides.  For the few points a settled
-    orbit leaves, this skips _reduce's per-call array overhead; it goes
-    once stable_direction_loop batches its rows through _reduce (ROADMAP
-    items 2 and 4).
+    _reduce's bitwise twin: the same tree and pulls, squared norms summed in
+    _pull's order, and the logs from one np.log call, since math.log does not
+    always give its bits.  A zero, infinite or NaN norm raises at its pull.
+    It spares a settled orbit's few points _reduce's per-call overhead, until
+    stable_direction_loop batches its rows through _reduce (ROADMAP items 2, 4).
     """
     n = len(ms)
-    norms = []
+    norms, pulls = [], []
     while len(ms) > 1:
+        pull = (len(pulls) + 1) % every == 0 or len(ms) == 2
+        pulls.append(pull)
         level = []
         for i in range(1, len(ms), 2):
             a, b, c, d = _mul(*ms[i], *ms[i - 1])
-            fr = math.sqrt(a * a + b * b + c * c + d * d)
-            if not 0.0 < fr < math.inf:
-                raise NumericOverflowError("degenerate step in scaled product")
-            inv = SQRT2 / fr
-            level.append((a * inv, b * inv, c * inv, d * inv))
-            norms.append(fr / SQRT2)
+            if pull:
+                fr = math.sqrt(a * a + b * b + c * c + d * d)
+                if not 0.0 < fr < math.inf:
+                    raise NumericOverflowError("degenerate step in scaled product")
+                inv = SQRT2 / fr
+                a, b, c, d = a * inv, b * inv, c * inv, d * inv
+                norms.append(fr / SQRT2)
+            level.append((a, b, c, d))
         ms = level + ms[len(ms) & ~1:]
     logs = iter(np.log(norms).tolist())
     tree = [0.0] * n
-    while len(tree) > 1:
-        tree = [next(logs) + (tree[i] + tree[i - 1]) for i in range(1, len(tree), 2)] \
-            + tree[len(tree) & ~1:]
+    for pull in pulls:
+        pairs = [tree[i] + tree[i - 1] for i in range(1, len(tree), 2)]
+        tree = ([next(logs) + t for t in pairs] if pull else pairs) + tree[len(tree) & ~1:]
     return (*ms[0], tree[0])
 
 
@@ -415,9 +436,10 @@ def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:
     ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
     for xs in blocks:
         if len(xs) <= _SHORT:
-            block = _reduce_short([_entries(spec, x) for x in xs])
+            block = _reduce_short([_entries(spec, x) for x in xs], spec._pull_every)
         else:
-            block = map(float, _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64))))
+            block = map(float, _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64)),
+                                       spec._pull_every))
         ea, eb, ec, ed, block_log = block
         ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + block_log, ea, eb, ec, ed)
     return ScaledMatrix(ma, mb, mc, md, logs)
@@ -555,15 +577,15 @@ def _keep_heap_resident() -> None:
 def _block_products(spec: CocycleSpec, k: int, digits: np.ndarray, start: int, stop: int):
     """The product of each block of orbit steps start .. stop - 1, in order.
 
-    digits holds one stream per row, and each block yields (a, b, c, d,
-    log_scale), arrays over the rows, with _reduce's bits.  Full _BLOCK
-    blocks go in batches of up to _BATCH: each runs _reduce's wide levels
-    alone, down to _NARROW matrices per row, in one expression, so its
-    entry and level arrays are freed before the next block is built; then
-    the batch runs its narrow levels together along a new axis, by the same
-    tree, so those small levels cost their numpy calls once per batch.  A
-    last, shorter block goes to _reduce.
+    digits holds one stream per row; each block yields (a, b, c, d, log_scale)
+    over the rows, with _reduce's bits.  Full _BLOCK blocks go in batches of
+    up to _BATCH: each runs its wide levels alone, down to _NARROW matrices per
+    row, in one expression that frees its arrays before the next block; then
+    the batch runs its narrow levels together along a new axis, from the wide
+    levels' count, so they cost their numpy calls once.  A last, shorter block
+    goes to _reduce.
     """
+    every = spec._pull_every
     # the narrow stacks of a batch, allocated before any block so that they
     # do not split the heap the blocks' scratch arrays reuse
     m = np.empty((2, 2, _BATCH, digits.shape[0], _NARROW))
@@ -573,12 +595,14 @@ def _block_products(spec: CocycleSpec, k: int, digits: np.ndarray, start: int, s
         batch = range(lo, min(lo + _BATCH * _BLOCK, tail), _BLOCK)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for j, b in enumerate(batch):
-                m[:, :, j], logs[j] = _levels(
-                    *_first_level(*_entries(spec, _orbit(k, digits[:, b:], _BLOCK))), _NARROW)
-            root = _root(*_levels(m[:, :, :len(batch)], logs[:len(batch)]))
+                m[:, :, j], logs[j], level = _levels(
+                    *_first_level(*_entries(spec, _orbit(k, digits[:, b:], _BLOCK)), every),
+                    every, width=_NARROW)
+            narrow, narrow_logs, _ = _levels(m[:, :, :len(batch)], logs[:len(batch)], every, level)
+            root = _root(narrow, narrow_logs)
         yield from zip(*root)
     if tail < stop:
-        yield _reduce(*_entries(spec, _orbit(k, digits[:, tail:], stop - tail)))
+        yield _reduce(*_entries(spec, _orbit(k, digits[:, tail:], stop - tail)), every)
 
 
 def _norm_growth_group(spec: CocycleSpec, k: int, n_steps: int, burn_in: int,

@@ -1,6 +1,7 @@
 """Shared generators and assertions for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,6 +15,13 @@ BASE = Mat2.diagonal(2.0)
 def example_spec() -> CocycleSpec:
     """diag(2, 1/2) composed with one full rotation per circle turn."""
     return full_twist_spec(BASE)
+
+
+def with_pull_every(spec: CocycleSpec, every: int) -> CocycleSpec:
+    """A copy of spec whose derived pull period is every, not its own."""
+    spec = replace(spec)
+    object.__setattr__(spec, "_pull_every", every)
+    return spec
 
 
 def example_map(k: int = 8) -> ExpandingMap:

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import (BASE, as_array, example_map, example_spec, proj_distance, random_sl2,
-                   rotation)
+                   rotation, with_pull_every)
 from cocyclelab import (
     CocycleSpec,
     ExpandingMap,
@@ -29,6 +30,7 @@ from cocyclelab import (
     c0_distance,
     cocycle_product,
     evaluate,
+    full_twist_spec,
     lyapunov_furstenberg,
     lyapunov_norm_growth,
     oseledets_stable_direction,
@@ -50,11 +52,13 @@ from cocyclelab.cocycle import (
     _entries,
     _keep_heap_resident,
     _ladder,
+    _block_products,
     _mean_stderr,
     _norm_growth_group,
     _product_along,
     _product_step,
     _pull,
+    _pull_period,
     _reduce,
     _reduce_short,
 )
@@ -62,6 +66,10 @@ from cocyclelab.errors import NumericOverflowError
 from cocyclelab.sl2 import _mul, _mul_stacked, _s_max
 
 TWO_PI = 2.0 * math.pi
+# pull schedules the product kernels are held to: a pull at every tree level
+# (the schedule before pulls were spaced, whose bits are pinned), every
+# second level, and every eighth, which the example's sup norm 2 gives
+PULL_EVERY = (1, 2, 8)
 
 
 def constant_spec(s: float = 2.0) -> CocycleSpec:
@@ -291,13 +299,15 @@ def ill_conditioned_spec() -> CocycleSpec:
 @pytest.mark.parametrize("spec", [example_spec(), twisted_spec(), ill_conditioned_spec()],
                          ids=["example", "perturbed", "ill-conditioned"])
 def test_entries_match_evaluate_bitwise(spec):
-    """Scalar and array evaluation return the same entries: evaluate adds no
-    renormalization of its own, even where det drifts past DET_TOL."""
+    """Scalar and array evaluation return the same entries, in hex so that the
+    sign of a zero counts: evaluate adds no renormalization of its own, even
+    where det drifts past DET_TOL, and _entries' in-place sums are _mul's."""
     xs = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
                          np.random.default_rng(13).random(2000)])
     ea, eb, ec, ed = _entries(spec, xs)
     for j, x in enumerate(map(float, xs)):
-        assert evaluate(spec, x) == (ea[j], eb[j], ec[j], ed[j])
+        want = [v.hex() for v in evaluate(spec, x)]
+        assert [float(e[j]).hex() for e in (ea, eb, ec, ed)] == want
 
 
 def test_twist_lipschitz_bounds_numeric_slope():
@@ -413,11 +423,12 @@ def test_product_along_matches_sequential_fold(n):
 
 def test_reduce_rejects_degenerate_products():
     zero = np.zeros(2)
-    with pytest.raises(NumericOverflowError, match="degenerate step"):
-        _reduce(zero, zero, zero, zero)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError,
-                                                      match="degenerate step"):
-        _reduce(np.array([1.0, math.inf]), zero, zero, np.ones(2))
+    for every in PULL_EVERY:
+        with pytest.raises(NumericOverflowError, match="degenerate step"):
+            _reduce(zero, zero, zero, zero, every)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError,
+                                                          match="degenerate step"):
+            _reduce(np.array([1.0, math.inf]), zero, zero, np.ones(2), every)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 4096, 4097])
@@ -425,17 +436,19 @@ def test_reduce_rows_match_one_dimensional_calls(n):
     """Reducing along the last axis gives each row the bits of its own 1-D call."""
     spec = twisted_spec()
     entries = _entries(spec, np.random.default_rng(n).random((3, n)))
-    got = _reduce(*entries)
-    for r in range(3):
-        want = _reduce(*(e[r] for e in entries))
-        assert [float(v[r]) for v in got] == [float(v) for v in want]
+    for every in PULL_EVERY:
+        got = _reduce(*entries, every)
+        for r in range(3):
+            want = _reduce(*(e[r] for e in entries), every)
+            assert [float(v[r]) for v in got] == [float(v) for v in want]
 
 
 def test_reduce_rejects_one_degenerate_row():
     ea, eb, ec, ed = (np.ones((3, 5)), np.zeros((3, 5)), np.zeros((3, 5)), np.ones((3, 5)))
     ea[1], ed[1] = 0.0, 0.0
-    with pytest.raises(NumericOverflowError, match="degenerate step"):
-        _reduce(ea, eb, ec, ed)
+    for every in PULL_EVERY:
+        with pytest.raises(NumericOverflowError, match="degenerate step"):
+            _reduce(ea, eb, ec, ed, every)
 
 
 def test_pull_sums_the_squares_left_to_right():
@@ -455,21 +468,28 @@ def test_pull_sums_the_squares_left_to_right():
     assert hex_bits([logs]) == hex_bits([np.log(np.array(norms) / math.sqrt(2.0))])
 
 
-def reduce_by_entry_arrays(ea, eb, ec, ed):
+def reduce_by_entry_arrays(ea, eb, ec, ed, every):
     """The reduction on four separate entry arrays, as it stood before the
-    entries were stacked: _mul on strided slices and a range check per level."""
+    entries were stacked: _mul on strided slices and a range check per
+    pulled level.  Level j (the first is 1) is pulled when every divides j,
+    and so is the root's; at every = 1 this is the old oracle unchanged."""
     logs = np.zeros(ea.shape)
+    depth = 0
     while ea.shape[-1] > 1:
         n = ea.shape[-1]
         h = n & ~1
+        depth += 1
         na, nb, nc, nd = _mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
                               ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2])
-        fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
-        if not (fr.min() > 0.0 and fr.max() < math.inf):
-            raise NumericOverflowError("degenerate step in scaled product")
-        inv = math.sqrt(2.0) / fr
-        level = [na * inv, nb * inv, nc * inv, nd * inv,
-                 logs[..., 1:h:2] + logs[..., :h:2] + np.log(fr / math.sqrt(2.0))]
+        pair_logs = logs[..., 1:h:2] + logs[..., :h:2]
+        if depth % every == 0 or n == 2:
+            fr = np.sqrt(na * na + nb * nb + nc * nc + nd * nd)
+            if not (fr.min() > 0.0 and fr.max() < math.inf):
+                raise NumericOverflowError("degenerate step in scaled product")
+            inv = math.sqrt(2.0) / fr
+            na, nb, nc, nd = na * inv, nb * inv, nc * inv, nd * inv
+            pair_logs = pair_logs + np.log(fr / math.sqrt(2.0))
+        level = [na, nb, nc, nd, pair_logs]
         if h < n:
             level = [np.concatenate((v, w[..., -1:]), axis=-1)
                      for v, w in zip(level, (ea, eb, ec, ed, logs))]
@@ -489,9 +509,10 @@ def test_stacked_reduce_matches_entry_array_reduce_bitwise(make_spec, n):
     rng = np.random.default_rng(n)
     for shape in ((n,), (1, n), (2, n), (3, n), (4, n)):
         entries = _entries(spec, rng.random(shape))
-        got = _reduce(*entries)
-        assert [v.shape for v in got] == [shape[:-1]] * 5
-        assert hex_bits(got) == hex_bits(reduce_by_entry_arrays(*entries))
+        for every in PULL_EVERY:
+            got = _reduce(*entries, every)
+            assert [v.shape for v in got] == [shape[:-1]] * 5
+            assert hex_bits(got) == hex_bits(reduce_by_entry_arrays(*entries, every))
 
 
 # ±0, subnormals, 1e±150 and everything between; no product overflows
@@ -552,6 +573,15 @@ def inf_pair():
     return ea, eb, ec, ed
 
 
+def zero_below_unpulled_levels():
+    # E3 E2 = 0 at level 1 of a 40-matrix tree; at every = 8 no level pulls
+    # before the root (level 6), at every = 2 levels 2, 4 and 6 do
+    ea, eb, ec, ed = identity_entries(40)
+    ed[2] = 0.0
+    ea[3] = 0.0
+    return ea, eb, ec, ed
+
+
 def nan_in_the_odd_leftover():
     ea, eb, ec, ed = identity_entries(3)
     ea[2] = math.nan
@@ -565,15 +595,18 @@ def as_tuples(entries) -> list[tuple[float, float, float, float]]:
 
 @pytest.mark.parametrize("make", [zero_at_an_inner_level, inf_in_the_last_pair,
                                   inf_in_the_odd_leftover, nan_entry, zero_pair, inf_pair,
-                                  nan_in_the_odd_leftover], ids=lambda f: f.__name__)
+                                  nan_in_the_odd_leftover, zero_below_unpulled_levels],
+                         ids=lambda f: f.__name__)
 def test_degenerate_products_raise_and_warn_nothing(make):
-    # no np.errstate here: a RuntimeWarning would be an error
+    # no np.errstate here: a RuntimeWarning would be an error; at every = 2
+    # and 8 the degenerate node sits at a level that is not pulled
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericOverflowError, match="degenerate step"):
-            _reduce(*make())
-        with pytest.raises(NumericOverflowError, match="degenerate step"):
-            _reduce_short(as_tuples(make()))
+        for every in PULL_EVERY:
+            with pytest.raises(NumericOverflowError, match="degenerate step"):
+                _reduce(*make(), every)
+            with pytest.raises(NumericOverflowError, match="degenerate step"):
+                _reduce_short(as_tuples(make()), every)
 
 
 def reduce_outcome(reduce, *args):
@@ -591,17 +624,90 @@ def test_short_reduce_is_reduce_bitwise(n):
     for spread in (0, 1, 10, 75, 150):
         for _ in range(20):
             entries = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-spread, spread, (4, n))
-            want = reduce_outcome(_reduce, *entries)
-            assert reduce_outcome(_reduce_short, as_tuples(entries)) == want
-            finite += want != "degenerate"
-    assert finite >= 40
+            for every in PULL_EVERY:
+                want = reduce_outcome(_reduce, *entries, every)
+                assert reduce_outcome(_reduce_short, as_tuples(entries), every) == want
+                finite += want != "degenerate"
+    assert finite >= 40 * len(PULL_EVERY)
 
 
 def test_short_reduce_takes_the_logs_of_np_log():
     """The pair's norm sqrt(0.66^2 + 1) / sqrt(2) is one where math.log and np.log
     can differ in the last bit (they do with numpy 2.4 on x86-64 Linux)."""
     entries = (np.array([1.0, 0.66]), np.zeros(2), np.zeros(2), np.ones(2))
-    assert hex_bits(_reduce_short(as_tuples(entries))) == hex_bits(_reduce(*entries))
+    for every in PULL_EVERY:
+        assert hex_bits(_reduce_short(as_tuples(entries), every)) == \
+            hex_bits(_reduce(*entries, every))
+
+
+@pytest.mark.parametrize("every", PULL_EVERY)
+def test_reductions_follow_the_pull_schedule_bitwise(every):
+    """_reduce and _reduce_short give reduce_by_entry_arrays' bits for n = 1 to
+    2^every + 3, so odd leftovers carry across pulled and unpulled levels."""
+    spec = twisted_spec()
+    rng = np.random.default_rng([23, every])
+    for n in range(1, 2**every + 4):
+        entries = _entries(spec, rng.random(n))
+        want = hex_bits(reduce_by_entry_arrays(*entries, every))
+        assert hex_bits(_reduce(*entries, every)) == want, n
+        assert hex_bits(_reduce_short(as_tuples(entries), every)) == want, n
+
+
+# (sup norm, pull period): each threshold of _pull_period and the next float up
+PULL_PERIODS = [(1.0, 8), (math.sqrt(2.0), 8), (2.0, 8), (np.nextafter(2.0, 3.0), 7),
+                (4.0, 7), (np.nextafter(4.0, 5.0), 6), (16.0, 6), (256.0, 5), (2.0**16, 4),
+                (np.nextafter(2.0**16, 2.0**17), 3), (2.0**32, 3), (2.0**64, 2),
+                (np.nextafter(2.0**64, 2.0**65), 1), (2.0**128, 1), (2.0**256, 1)]
+
+
+@pytest.mark.parametrize("sigma,every", PULL_PERIODS, ids=repr)
+def test_pull_period_is_the_largest_that_fits_256_bits(sigma, every):
+    """2^L log2(max(sigma, sqrt 2)) <= 256, as max(sigma, sqrt 2)^(2^L) <= 2^256
+    in exact rationals on the floats."""
+    assert _pull_period(sigma) == every
+    fits = [lag for lag in range(1, 12)
+            if Fraction(max(float(sigma), math.sqrt(2.0))) ** 2**lag <= 2**256]
+    assert every == max(fits, default=1)
+
+
+def test_pull_period_is_derived_from_the_base():
+    spec = example_spec()
+    assert spec._pull_every == _pull_period(spec.sup_norm()) == 8
+    wide = replace(spec, base=Mat2.diagonal(2.0**20))
+    assert wide._pull_every == 3
+    assert perturb(wide, 0.05, seed=1)._pull_every == 3
+    # derived: it takes no part in equality, hashing or repr
+    other = with_pull_every(spec, 1)
+    assert other == spec and hash(other) == hash(spec) and repr(other) == repr(spec)
+
+
+# sup norms at and just past each threshold of _pull_period named below, and
+# 2^256, about the largest at which a pull at every level survives these inputs
+# (at 2^256.01 a first-level square overflows)
+OVERFLOW_SIGMAS = [2.0, np.nextafter(2.0, 3.0), 4.0, np.nextafter(4.0, 5.0), 2.0**16,
+                   np.nextafter(2.0**16, 2.0**17), 2.0**64, np.nextafter(2.0**64, 2.0**65),
+                   2.0**256]
+
+
+@pytest.mark.parametrize("sigma", OVERFLOW_SIGMAS, ids=repr)
+def test_spaced_pulls_do_not_overflow(sigma):
+    """Products of 4095 and 4097 points, and norm growth over 2 _BLOCK + 1
+    steps, at the spec's own pull period raise nothing and give the log scale
+    of a pull at every level within 1e-13 relative."""
+    spec = perturb(full_twist_spec(Mat2.diagonal(float(sigma))), 0.05, seed=3)
+    every_level = with_pull_every(spec, 1)
+    rng = np.random.default_rng(31)
+    for n in (_BLOCK - 1, _BLOCK + 1):
+        xs = rng.random(n)
+        got, want = _product_along(spec, xs), _product_along(every_level, xs)
+        assert got.log_scale == pytest.approx(want.log_scale, rel=1e-13, abs=0.0)
+        assert math.hypot(got.a, got.b, got.c, got.d) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    digits = np.random.default_rng(37).integers(0, 3, size=(2, 2 * _BLOCK + 1 + 64))
+    got = list(_block_products(spec, 3, digits.astype(np.uint8), 0, 2 * _BLOCK + 1))
+    want = list(_block_products(every_level, 3, digits.astype(np.uint8), 0, 2 * _BLOCK + 1))
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert g[4] == pytest.approx(w[4], rel=1e-13, abs=0.0)
 
 
 def test_cocycle_product_streams_the_float_orbit():
@@ -773,7 +879,8 @@ def test_norm_growth_groups_keep_each_sample_seed(n_samples):
 
 def per_block_norm_growth(spec, k, n_steps, burn_in, rngs) -> list[float]:
     """_norm_growth_group as it stood before its blocks shared their narrow
-    levels: one _orbit call per row, stacked, and one _reduce call per block."""
+    levels: one _orbit call per row, stacked, and one reduction per block,
+    here reduce_by_entry_arrays on the spec's pull schedule."""
     w = window_width(k)
     total = burn_in + n_steps
     digits, vs = [], []
@@ -788,7 +895,8 @@ def per_block_norm_growth(spec, k, n_steps, burn_in, rngs) -> list[float]:
     for start, stop, counted in ((0, burn_in, False), (burn_in, total, True)):
         for lo in range(start, stop, _BLOCK):
             xs = np.stack([_orbit(k, ds[lo:], min(_BLOCK, stop - lo)) for ds in digits])
-            rows = zip(*(v.tolist() for v in _reduce(*_entries(spec, xs))))
+            block = reduce_by_entry_arrays(*_entries(spec, xs), spec._pull_every)
+            rows = zip(*(v.tolist() for v in block))
             for i, (a, b, c, d, log_scale) in enumerate(rows):
                 vx, vy = vs[i]
                 wx = a * vx + b * vy
@@ -814,11 +922,14 @@ BLOCK_COUNTS = [
 @pytest.mark.parametrize("make_spec", [example_spec, twisted_spec], ids=["example", "perturbed"])
 def test_norm_growth_matches_per_block_reduce_bitwise(make_spec, k, burn_in, n_steps):
     """Blocks that finish their narrow levels together give each sample the
-    bits of one _reduce call per block."""
-    spec = make_spec()
-    got = _norm_growth_group(spec, k, n_steps, burn_in, [rng_from(9, k, i) for i in range(3)])
-    want = per_block_norm_growth(spec, k, n_steps, burn_in, [rng_from(9, k, i) for i in range(3)])
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    bits of one reduction per block, on each pull schedule."""
+    for every in PULL_EVERY:
+        spec = with_pull_every(make_spec(), every)
+        rngs = [rng_from(9, k, i) for i in range(3)]
+        got = _norm_growth_group(spec, k, n_steps, burn_in, rngs)
+        rngs = [rng_from(9, k, i) for i in range(3)]
+        want = per_block_norm_growth(spec, k, n_steps, burn_in, rngs)
+        assert [v.hex() for v in got] == [v.hex() for v in want], every
 
 
 def test_norm_growth_memory_stays_small():
@@ -909,6 +1020,15 @@ def test_norm_growth_pinned_regression():
                                n_samples=32, seed=(DEFAULT_SEED, 0))
     assert est.value == pytest.approx(0.22356619697188698, abs=1e-12)
     assert est.std_error == pytest.approx(0.0002651262274570716, abs=1e-12)
+
+
+def test_norm_growth_pulled_at_every_level_keeps_the_old_bits():
+    """At a pull period of 1 the tree is the one every level was pulled in, so
+    the lyap defaults give the values frozen before pulls were spaced."""
+    est = lyapunov_norm_growth(with_pull_every(example_spec(), 1), example_map(8),
+                               n_steps=100_000, n_samples=32, seed=(DEFAULT_SEED, 0))
+    assert est.value.hex() == (0.2235661969718866).hex()
+    assert est.std_error.hex() == (0.00026512622745706655).hex()
 
 
 def test_norm_growth_rejects_bad_sizes():

@@ -228,7 +228,7 @@ def _evaluate_names(tree: ast.AST) -> list[int]:
 
 PRODUCT_PATH = ("cocycle_product", "_product_of_blocks", "_product_along", "_reduce",
                 "_first_level", "_levels", "_root", "_pull", "_reduce_short",
-                "_block_products", "_norm_growth_group", "_ladder")
+                "_block_products", "_norm_growth_group", "_ladder", "_pull_period")
 
 
 @pytest.mark.parametrize("name", PRODUCT_PATH)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _util import example_map, example_spec, proj_distance, rotation
+from _util import example_map, example_spec, proj_distance, rotation, with_pull_every
 from cocyclelab import (
     CocycleSpec,
     ExpandingMap,
@@ -310,12 +310,12 @@ def test_stable_direction_loop_without_gap_is_constant():
 
 
 # sha256 of the newline-joined float.hex of every sample, as the code gave them
-# before short orbit blocks were reduced in Python floats
+# once product trees were pulled every eighth level (both specs have sup norm 2)
 PINNED_LOOPS = [
     (example_spec(), 8, 4096, 256,
-     "c5e243a7dad05b09b91548ea6b76d34570d60d8e6b13bc10753c812b1d0029ac"),
+     "98fcb7e2092313dbb4d43c9165d7e283f2c0b289a272e266148a6d4507d9256d"),
     (CocycleSpec(base=Mat2.diagonal(2.0), terms=(TwistTerm(1, 0.05, 0.0),)), 3, 256, 64,
-     "2d4a6ecbc134aef516c589cda77e832f2044d02763832dfc9729c23e028c15e6"),
+     "0df8876fb78d68e73bcb8729b868b2a55c09ac251e5a3d38690ff7e503a59ae1"),
 ]
 
 
@@ -326,6 +326,17 @@ def test_stable_direction_loop_pinned_bits(spec, k, grid_n, steps, digest):
     loop = stable_direction_loop(spec, ExpandingMap(k), grid_n, steps)
     text = "\n".join(float(v).hex() for v in loop.samples)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_stable_direction_loop_pulled_at_every_level_keeps_the_old_bits():
+    """At a pull period of 1 both loops give the digests pinned before pulls
+    were spaced."""
+    old = ["c5e243a7dad05b09b91548ea6b76d34570d60d8e6b13bc10753c812b1d0029ac",
+           "2d4a6ecbc134aef516c589cda77e832f2044d02763832dfc9729c23e028c15e6"]
+    for (spec, k, grid_n, steps, _), digest in zip(PINNED_LOOPS, old):
+        loop = stable_direction_loop(with_pull_every(spec, 1), ExpandingMap(k), grid_n, steps)
+        text = "\n".join(float(v).hex() for v in loop.samples)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_search_validation():

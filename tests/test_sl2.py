@@ -122,9 +122,6 @@ _NONFINITE = [
     for bad in (math.nan, math.inf, -math.inf) for i in range(4)
 ]
 RENORMALIZATION_CASES = [
-    (1.0, 0.0, 0.0, 1.0),  # det exactly 1
-    (2.0, 3.0, 1.0, 2.0),
-    (2.0, 0.0, 0.0, 0.5),
     (math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3)),
     (1.0 + _EPS, 0.0, 0.0, 1.0),  # within DET_TOL
     (1.0 - _EPS, 0.0, 0.0, 1.0),
@@ -132,8 +129,6 @@ RENORMALIZATION_CASES = [
     (1.0 + DET_TOL, 0.0, 0.0, 1.0),  # at the edge of DET_TOL
     (1.0 + 4.0 * DET_TOL, 0.0, 0.0, 1.0),  # just outside: rescaled
     (1.0 - 4.0 * DET_TOL, 0.0, 0.0, 1.0),
-    (3.0, 0.0, 0.0, 3.0),
-    (2.0, 1.0, 1.0, 2.0),
     (1.0, 2.0, 2.0, 4.0),  # det 0
     (1.0, 0.0, 0.0, -0.0),  # det -0
     (-1.0, 0.0, 0.0, 1.0),  # det < 0
@@ -149,6 +144,11 @@ SQRT_DET_CASES = [
     (1, 5, 0, 1),
     (2, 0, 0, 1),  # integer det 2: renormalized to floats
     (-1, 0, 0, -1),
+    (1.0, 0.0, 0.0, 1.0),  # det exactly 1
+    (2.0, 3.0, 1.0, 2.0),
+    (2.0, 0.0, 0.0, 0.5),
+    (3.0, 0.0, 0.0, 3.0),  # det 9 and 3: renormalized
+    (2.0, 1.0, 1.0, 2.0),
 ]
 
 
