@@ -102,9 +102,11 @@ class CocycleSpec:
     winding: int = 0
     terms: tuple[TwistTerm, ...] = ()
     theta: float = 1.0
-    # the terms sorted by frequency as (frequency step, amp cos phase, amp sin phase),
-    # which _trig_sum reads; derived in __post_init__, so replace() rebuilds it
-    _plan: tuple[tuple[int, float, float], ...] = field(init=False, repr=False, compare=False)
+    # _trig_sum's Horner plan: the terms in descending frequency as (step, w), step the
+    # frequency less the next term's (the last term's own frequency; 0 for a shared
+    # one) and w = amp cos phase + i amp sin phase, built once here, not per call;
+    # derived in __post_init__, so replace() rebuilds it
+    _plan: tuple[tuple[int, complex], ...] = field(init=False, repr=False, compare=False)
     # tree levels per pull in _reduce, from the sup norm; derived likewise
     _pull_every: int = field(init=False, repr=False, compare=False)
 
@@ -114,10 +116,11 @@ class CocycleSpec:
         object.__setattr__(self, "theta", _real("theta", self.theta))
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"Holder exponent theta must be in (0, 1], got {self.theta}")
-        plan, f = [], 0
-        for t in sorted(self.terms, key=lambda t: t.freq):
-            plan.append((t.freq - f, t.amp * math.cos(t.phase), t.amp * math.sin(t.phase)))
-            f = t.freq
+        terms = sorted(self.terms, key=lambda t: t.freq, reverse=True)
+        plan = []
+        for t, lower in zip(terms, [t.freq for t in terms[1:]] + [0]):
+            plan.append((t.freq - lower, complex(t.amp * math.cos(t.phase),
+                                                 t.amp * math.sin(t.phase))))
         object.__setattr__(self, "_plan", tuple(plan))
         object.__setattr__(self, "_pull_every", _pull_period(op_norm(self.base)))
 
@@ -181,19 +184,45 @@ def _cis_power(c, s, n: int):
 def _trig_sum(plan, c, s):
     """sum of amp sin(2 pi f x + phase) over a plan, from (c, s) = (cos, sin)(2 pi x).
 
-    Each term is amp cos(phase) sin(2 pi f x) + amp sin(phase) cos(2 pi f x).
-    (cos, sin)(2 pi f x) advances from term to term by complex products on
-    real pairs, so one sine and cosine per point serve every term.  c and s
-    may be floats or arrays: every operation is elementwise and unfused, so
-    an array element gets the bits of the float call.
+    The sum is Im sum_j w_j z^(f_j), with z = c + i s and w_j = amp e^(i phase),
+    and Horner's rule over the descending plan forms it with one complex product
+    per term: add w_j, then multiply by z^step (_cis_power across a gap), so one
+    sine and cosine per point serve every term.  At a float that is Python's
+    complex arithmetic.  An array runs the same operations on real pairs in four
+    work arrays, in the order CPython's complex product uses (re pc - im ps,
+    im pc + re ps), so each element gets the float call's bits; numpy's complex
+    multiply may be fused and is not bitwise Python's.  c and s are not modified.
     """
-    total, fc, fs = 0.0, 1.0, 0.0
-    for step, ac, as_ in plan:
+    if isinstance(c, float):
+        z, acc = complex(c, s), 0j
+        for step, w in plan:
+            acc = acc + w
+            if step:
+                acc = acc * (z if step == 1 else complex(*_cis_power(c, s, step)))
+        return acc.imag
+    step, w = plan[0]
+    # 0.0 + w.real is the float call's first sum 0j + w, which takes -0.0 to 0.0
+    re, im = np.full_like(c, 0.0 + w.real), np.full_like(c, 0.0 + w.imag)
+    t, u = np.empty_like(c), np.empty_like(c)
+    for term in plan[1:]:
         if step:
             pc, ps = (c, s) if step == 1 else _cis_power(c, s, step)
-            fc, fs = fc * pc - fs * ps, fc * ps + fs * pc
-        total = total + (ac * fs + as_ * fc)
-    return total
+            np.multiply(re, pc, out=t)
+            np.multiply(im, ps, out=u)
+            t -= u
+            np.multiply(im, pc, out=u)
+            np.multiply(re, ps, out=im)
+            im += u
+            re, t = t, re
+        step, w = term
+        re += w.real
+        im += w.imag
+    # the lowest term's product needs only its imaginary part
+    pc, ps = (c, s) if step == 1 else _cis_power(c, s, step)
+    np.multiply(re, ps, out=re)
+    np.multiply(im, pc, out=im)
+    im += re
+    return im
 
 
 def full_twist_spec(base: Mat2) -> CocycleSpec:
@@ -251,7 +280,11 @@ def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
     del a
     # _trig_sum, a block's peak on a twist with terms, runs with a freed and
     # before winding * xs is formed; addition commutes, so the bits hold
-    return TWO_PI * (_trig_sum(spec._plan, c, s) + spec.winding * xs)
+    g = _trig_sum(spec._plan, c, s)
+    del c, s
+    g += spec.winding * xs
+    g *= TWO_PI  # in place on an array: multiplication commutes too
+    return g
 
 
 def _entries(spec: CocycleSpec, xs: np.ndarray):

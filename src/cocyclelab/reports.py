@@ -44,8 +44,11 @@ def dump_report(report: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
+        # two writes, not text + "\n": one copy of a report's text is held, not two;
+        # json.dump would make one write per chunk
         with open(path, "w") as f:
-            f.write(text + "\n")
+            f.write(text)
+            f.write("\n")
 
 
 def load_schema() -> dict:

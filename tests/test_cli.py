@@ -29,7 +29,7 @@ from cocyclelab.cli import (
     main,
     resolve_config,
 )
-from cocyclelab.reports import canonical_payload, load_schema
+from cocyclelab.reports import canonical_payload, dump_report, load_schema
 
 SCHEMA = load_schema()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -485,3 +485,12 @@ def test_baseline_regenerates(baseline, args, tmp_path):
     assert canonical_payload(report) == canonical_payload(frozen)
     if args[0] == "natext":
         assert report["results"]["conjugacy"]["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("baseline", ["holonomy_k8", "robustness_k3"])
+def test_dump_report_writes_the_indented_json_and_a_newline(baseline, tmp_path):
+    with open(BASELINES / f"{baseline}.json") as f:
+        report = json.load(f)
+    out = tmp_path / "report.json"
+    dump_report(report, str(out))
+    assert out.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()

@@ -61,6 +61,7 @@ from cocyclelab.cocycle import (
     _pull_period,
     _reduce,
     _reduce_short,
+    _trig_sum,
 )
 from cocyclelab.errors import NumericOverflowError
 from cocyclelab.sl2 import _mul, _mul_stacked, _s_max
@@ -256,14 +257,39 @@ terms_st = st.lists(
 # two sums differ by one subnormal ulp
 @example(terms=[TwistTerm(1, 2.2250738585e-313, 1.0)], winding=0, xs=[0.9375])
 @example(terms=[TwistTerm(1, 5e-324, 1.0)], winding=0, xs=[0.8125])
+# paths hypothesis rarely draws: a shared frequency (a Horner step of 0), a gap
+# that _cis_power bridges, signed zero and subnormal amplitudes, a lone -0.0
+# term whose zero sum meets -0.0 from negative winding at x = 0 (the float sum
+# starts at 0j + w, so the array's must start at 0.0 + amp cos phase), and
+# negative winding
+@example(terms=[TwistTerm(3, 0.25, 0.1), TwistTerm(3, -0.4, 2.2), TwistTerm(1, 0.3, 4.0)],
+         winding=1, xs=[0.0, 0.3, 0.7])
+@example(terms=[TwistTerm(3, 0.2, 0.5), TwistTerm(3000, 1e-3, 1.1)], winding=0,
+         xs=[0.123, 0.5, 0.999])
+@example(terms=[TwistTerm(7, -0.0, 1.2), TwistTerm(2, 0.0, 0.3), TwistTerm(1, -5e-324, 2.0),
+                TwistTerm(5, 2.2250738585e-313, 0.0)], winding=0, xs=[0.0, 0.4, 0.8125])
+@example(terms=[TwistTerm(1, -0.0, 0.0)], winding=-2, xs=[0.0, 0.5])
+@example(terms=[TwistTerm(2, 0.5, 0.7), TwistTerm(4, -0.1, 3.0)], winding=-3,
+         xs=[0.0, 0.25, 0.6])
 @settings(max_examples=100, deadline=None)
 def test_trig_sum_scalar_and_array_agree(terms, winding, xs):
     spec = CocycleSpec(base=BASE, winding=winding, terms=tuple(terms))
     arr = np.array(xs)
     scalar = [spec.twist(x) for x in xs]
-    assert np.array_equal(_angles(spec, arr), TWO_PI * np.array(scalar))
+    # bits, not ==, so the sign of a zero counts
+    assert _angles(spec, arr).tobytes() == (TWO_PI * np.array(scalar)).tobytes()
     tol = max(1e-14 * twist_scale(spec), 4 * 5e-324)
     assert all(abs(g - per_term_twist(spec, x)) <= tol for g, x in zip(scalar, xs))
+
+
+@pytest.mark.parametrize("name", sorted(TRIG_SPECS))
+def test_trig_sum_leaves_its_cosines_and_sines_unmodified(name):
+    """The array path works in its own buffers, in place, never in c or s."""
+    a = TWO_PI * trig_points(16)
+    c, s = np.cos(a), np.sin(a)
+    c0, s0 = c.copy(), s.copy()
+    _trig_sum(TRIG_SPECS[name]._plan, c, s)
+    assert np.array_equal(c, c0) and np.array_equal(s, s0)
 
 
 def test_replace_rebuilds_the_term_plan():
@@ -942,6 +968,22 @@ def test_norm_growth_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 4_000_000
+
+
+def _norm_growth_peak(spec: CocycleSpec) -> int:
+    tracemalloc.start()
+    try:
+        lyapunov_norm_growth(spec, example_map(8), n_steps=10_000, n_samples=8)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_twist_terms_add_little_to_norm_growth_memory():
+    """An 8-term twist's sum runs in place in a few block-sized buffers, so
+    its traced peak stays within 32 KiB of the example's.  A temporary per
+    operation would put it about 250 KB above."""
+    assert _norm_growth_peak(twisted_spec()) <= _norm_growth_peak(example_spec()) + 32 * 1024
 
 
 def test_norm_growth_digits_stay_one_byte_per_step():
