@@ -32,14 +32,22 @@ MAX_ANCHOR_K = 8
 def _plateau(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 1 for t <= 0, 0 for t >= 1, exp-mollified between.
 
-    Clamping t to [1e-3, 1 - 1e-3] (np.clip's values, NaN included, in two
-    ufunc calls) moves no value: past either end one of the two
-    exponentials underflows to exactly 0, so a / (a + b) is 1 or 0.
+    The saturated ends are written as exact 1.0 and 0.0; the exponentials
+    run only on the rest, NaN included, so NaN maps to NaN.  Past either end
+    one exponential would underflow to 0 (and np.exp takes a slow path for
+    every result that underflows), making a / (a + b) exactly 1 or 0, so the
+    masks move no value.  Clamping the rest to [1e-3, 1 - 1e-3] (np.clip's
+    values, in two ufunc calls) moves none either, for the same reason, and
+    keeps -1 / t from overflowing.
     """
-    t = np.minimum(np.maximum(t, 1e-3), 1.0 - 1e-3)
-    a = np.exp(-1.0 / (1.0 - t))
-    b = np.exp(-1.0 / t)
-    return a / (a + b)
+    lo = t <= 0.0
+    mid = ~(lo | (t >= 1.0))
+    out = lo.astype(np.float64)
+    tm = np.minimum(np.maximum(t[mid], 1e-3), 1.0 - 1e-3)
+    a = np.exp(-1.0 / (1.0 - tm))
+    b = np.exp(-1.0 / tm)
+    out[mid] = a / (a + b)
+    return out
 
 
 # max |p'| of the plateau profile p, with a 5% margin.  The maximum is exactly
@@ -84,16 +92,28 @@ class NatExtRealization:
         return self._bumps(xs[:, None] - self._centers)
 
     def _bumps(self, offsets: np.ndarray) -> np.ndarray:
-        """Plateau bumps of the offsets x - center, read as circle distances."""
-        d = np.abs(np.mod(offsets + 0.5, 1.0) - 0.5)
+        """Plateau bumps of the offsets x - center, read as circle distances.
+
+        y - floor(y) is np.mod(y, 1.0) bit for bit, without np.mod's slow
+        loop: both give y, the exact y - 1 or y + 1 rounded once, and both
+        take -0.0 to +0.0.
+        """
+        y = offsets + 0.5
+        y -= np.floor(y)
+        y -= 0.5
+        d = np.abs(y, out=y)
         t = (d - self.r_inner) / (self.r_outer - self.r_inner)
         return _plateau(t)
 
-    def fiber_step(self, x: float, v: np.ndarray) -> np.ndarray:
-        """The fiber half of g.  apply_g and iota must share this op
-        bitwise, or the conjugacy residual picks up rounding noise far
-        above the lam^depth truncation term it is meant to measure."""
-        return self.h(x) / (2.0 * self.n_charts) + self.lam * v
+    def fiber_step(self, hx: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The fiber half of g at a base point x, from its bump row hx = h(x).
+
+        apply_g and iota must share this op bitwise, or the conjugacy
+        residual picks up rounding noise far above the lam^depth truncation
+        term it is meant to measure.  The bump row is an argument so that
+        iota can compute a whole itinerary's rows in one h_many call.
+        """
+        return hx / (2.0 * self.n_charts) + self.lam * v
 
 
 class EmbeddedPoint(NamedTuple):
@@ -157,7 +177,7 @@ def apply_g(real: NatExtRealization, x: float, v: np.ndarray) -> EmbeddedPoint:
     if not nv < 1.0:
         raise ValueError(f"fiber point has norm {nv} >= 1, outside the open ball")
     fx = apply_map(real.map, x)
-    return EmbeddedPoint(fx, real.fiber_step(x, v))
+    return EmbeddedPoint(fx, real.fiber_step(real.h(x), v))
 
 
 def iota(real: NatExtRealization, it: BackwardItinerary) -> EmbeddedPoint:
@@ -167,14 +187,16 @@ def iota(real: NatExtRealization, it: BackwardItinerary) -> EmbeddedPoint:
     orbit from (x_{-depth}, 0); the true limit lies within lam^depth.  The
     base coordinate is read off the stored orbit instead of being pushed
     through f at each step: same map (inverse branches are exact right
-    inverses), but no forward rounding drift feeding the bumps.
+    inverses), but no forward rounding drift feeding the bumps.  The bump
+    rows of x_{-1}, ..., x_{-depth} come from one h_many call (h's bits),
+    then fold deepest first through fiber_step.
     """
     if it.k != real.map.k:
         raise ValueError("itinerary degree does not match the realization")
-    pts = it.points()
+    rows = real.h_many(it.points()[1:])
     v = np.zeros(real.n_charts)
-    for j in range(it.depth, 0, -1):
-        v = real.fiber_step(pts[j], v)
+    for hx in rows[::-1]:
+        v = real.fiber_step(hx, v)
     return EmbeddedPoint(it.x0, v)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
+import sys
 from datetime import datetime, timezone
 
 from . import __version__
@@ -40,15 +41,21 @@ def canonical_payload(report: dict) -> bytes:
 
 
 def dump_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """The report as key-sorted, indented JSON and a newline, to path or stdout.
+
+    json.dump writes the text chunk by chunk, so the whole text is never held:
+    json.dumps would build it at several times its size first.
+    """
     if path is None:
-        print(text)
+        _write_report(report, sys.stdout)
     else:
-        # two writes, not text + "\n": one copy of a report's text is held, not two;
-        # json.dump would make one write per chunk
         with open(path, "w") as f:
-            f.write(text)
-            f.write("\n")
+            _write_report(report, f)
+
+
+def _write_report(report: dict, f) -> None:
+    json.dump(report, f, sort_keys=True, indent=2)
+    f.write("\n")
 
 
 def load_schema() -> dict:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -494,3 +495,28 @@ def test_dump_report_writes_the_indented_json_and_a_newline(baseline, tmp_path):
     out = tmp_path / "report.json"
     dump_report(report, str(out))
     assert out.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_dump_report_to_stdout_writes_the_same_text(capsys):
+    with open(BASELINES / "holonomy_k8.json") as f:
+        report = json.load(f)
+    dump_report(report, None)
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_report_streams_instead_of_building_the_text(tmp_path):
+    # json.dumps held the text several times over (6.7x its size here); json.dump
+    # writes it in chunks, so the traced peak stays well below one copy
+    report = {"command": "holonomy", "results": {"pairs": [
+        {"i": i, "residual": i / 7.0, "depth": [i, i + 1, i + 2], "ok": True}
+        for i in range(2_000)]}}
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        dump_report(report, str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 200_000
+    assert peak < 0.5 * size, (peak, size)

@@ -16,6 +16,7 @@ from cocyclelab import (
     iota,
     rng_from,
     separation_certificate,
+    shift_forward,
 )
 from cocyclelab.natext import _PLATEAU_SLOPE, _plateau
 
@@ -87,6 +88,40 @@ def test_h_is_the_row_of_h_many_bitwise(k, real2, real8):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), x
 
 
+def special_wraps() -> np.ndarray:
+    """Points y of (-0.5, 1.5) where a wrap to [0, 1) could go wrong: signed
+    zeros, the ends, 1.0, 0.5 and their floating-point neighbours."""
+    ys = [-0.0, 0.0, -0.5, 0.5, 1.0, 1.5, 5e-324, -5e-324]
+    ys += [math.nextafter(y, to) for y in ys for to in (-math.inf, math.inf)]
+    return np.array([y for y in ys if -0.5 <= y < 1.5])
+
+
+def test_floor_wrap_is_np_mod_bitwise():
+    rng = rng_from(41)
+    ys = np.concatenate([special_wraps(), rng.uniform(-0.5, 1.5, size=100_000),
+                         -10.0 ** -rng.uniform(0.5, 320.0, size=10_000),
+                         1.0 + 10.0 ** -rng.uniform(1.0, 17.0, size=10_000)])
+    assert np.any(np.signbit(ys) & (ys == 0.0))
+    want = np.mod(ys, 1.0)
+    assert np.array_equal((ys - np.floor(ys)).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_bumps_match_the_np_mod_formula_bitwise(k, real2, real8):
+    """_bumps wraps with y - floor(y); the bump rows first computed with
+    np.mod(y, 1.0) must come out with the same bits."""
+    real = {2: real2, 8: real8}[k]
+    rng = rng_from(43, k)
+    offsets = np.concatenate([special_wraps() - 0.5, rng.uniform(-1.0, 1.0, size=20_000)])
+    edges = np.array([s * r for s in (-1.0, 1.0) for r in (real.r_inner, real.r_outer)])
+    offsets = np.concatenate([offsets, edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
+                              edges - 1.0, edges + 1.0])
+    offsets = offsets[(-1.0 < offsets) & (offsets < 1.0)].reshape(-1, 1) + np.zeros(real.n_charts)
+    d = np.abs(np.mod(offsets + 0.5, 1.0) - 0.5)
+    want = _plateau((d - real.r_inner) / (real.r_outer - real.r_inner))
+    assert np.array_equal(real._bumps(offsets).view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("k", [2, 8])
 def test_separation_certificate_is_a_lower_bound(k, real2, real8):
     """Brute-force the branch-pair gap on a finer grid than the certificate
@@ -107,9 +142,9 @@ def test_separation_certificate_is_a_lower_bound(k, real2, real8):
 
 
 def masked_plateau(t: np.ndarray) -> np.ndarray:
-    """The plateau profile as first written, one boolean mask per regime."""
+    """The plateau profile as first written, one boolean mask per regime, NaN to NaN."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
+    out = np.full_like(t, math.nan)
     out[t <= 0.0] = 1.0
     out[t >= 1.0] = 0.0
     mid = (t > 0.0) & (t < 1.0)
@@ -133,11 +168,15 @@ def test_plateau_matches_the_masked_formula_bitwise():
         np.linspace(0.0, 1.0, 100_001),
         tiny, 1.0 - tiny, -tiny, 1.0 + tiny,
         [0.0, -0.0, 1.0, 1e-3, 1.0 - 1e-3, 2e-3, 1.0 - 2e-3, 5e-324, -5e-324,
-         math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -math.inf, math.inf],
+         math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -math.inf, math.inf,
+         math.nan, -math.nan],
     ])
     assert t.size >= 1_000_000
     got, want = _plateau(t), masked_plateau(t)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # NaN maps to NaN (its payload bits are numpy's business); the rest to the bit
+    nan = np.isnan(t)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def plateau_slope(t: np.ndarray) -> np.ndarray:
@@ -200,6 +239,37 @@ def test_fixed_point_of_g(real2):
 
 
 # -- the embedding ------------------------------------------------------------------
+
+def folded_fiber(real, it: BackwardItinerary) -> np.ndarray:
+    """iota's fiber as first written: one h(x) per level, folded deepest first."""
+    pts = it.points()
+    v = np.zeros(real.n_charts)
+    for j in range(it.depth, 0, -1):
+        v = real.fiber_step(real.h(pts[j]), v)
+    return v
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_iota_is_the_per_level_fold_bitwise(k, real2, real8):
+    """iota takes its bump rows from one h_many call; its fiber must carry the
+    bits of the fold that calls h once per level, on random itineraries and on
+    ones whose points sit on plateau edges, where the bumps leave saturation."""
+    real = {2: real2, 8: real8}[k]
+    rng = rng_from(97, k)
+    its = [random_itinerary(real, seed=s, depth=d) for s in range(40) for d in (0, 1, 7, 20)]
+    edges = [(c + s * r) % 1.0 for c in real.centers for s in (-1.0, 1.0)
+             for r in (real.r_inner, real.r_outer)]
+    for x in edges + [math.nextafter(x, 2.0) for x in edges]:
+        digits = tuple(int(d) for d in rng.integers(0, k, size=12))
+        it = BackwardItinerary(k, x, digits)
+        for _ in range(3):  # the edge point moves into the folded levels
+            it = shift_forward(it)
+            its.append(it)
+    for it in its:
+        got = iota(real, it)
+        assert got.base == it.x0
+        assert got.fiber.tobytes() == folded_fiber(real, it).tobytes(), it
+
 
 def test_iota_depth_control(real2):
     """A depth-d itinerary pins its embedding to within lam^d: every deeper

@@ -123,11 +123,6 @@ _NONFINITE = [
 ]
 RENORMALIZATION_CASES = [
     (math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3)),
-    (1.0 - 4.0 * DET_TOL, 0.0, 0.0, 1.0),  # just outside DET_TOL: rescaled
-    (1.0, 2.0, 2.0, 4.0),  # det 0
-    (1.0, 0.0, 0.0, -0.0),  # det -0
-    (-1.0, 0.0, 0.0, 1.0),  # det < 0
-    (0.0, 1.0, 1.0, 0.0),
     (1.0, 0.0, 0.0, -1e-300),
     *_NONFINITE,
 ]
@@ -149,6 +144,11 @@ SQRT_DET_CASES = [
     (2.0, 3.0, 1.0 - _EPS, 2.0),
     (1.0 + DET_TOL, 0.0, 0.0, 1.0),  # at the edge of DET_TOL
     (1.0 + 4.0 * DET_TOL, 0.0, 0.0, 1.0),  # just outside: rescaled
+    (1.0 - 4.0 * DET_TOL, 0.0, 0.0, 1.0),
+    (1.0, 2.0, 2.0, 4.0),  # det 0
+    (1.0, 0.0, 0.0, -0.0),  # det -0
+    (-1.0, 0.0, 0.0, 1.0),  # det < 0
+    (0.0, 1.0, 1.0, 0.0),
 ]
 
 
