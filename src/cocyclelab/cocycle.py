@@ -181,41 +181,32 @@ def _cis_power(c, s, n: int):
         c, s = c * c - s * s, 2.0 * c * s
 
 
-def _step_power(powers: dict, c, s, step: int):
-    """_cis_power(c, s, step), kept in powers: one _trig_sum call forms each step's once."""
-    if step not in powers:
-        powers[step] = _cis_power(c, s, step)
-    return powers[step]
-
-
 def _trig_sum(plan, c, s):
     """sum of amp sin(2 pi f x + phase) over a plan, from (c, s) = (cos, sin)(2 pi x).
 
     The sum is Im sum_j w_j z^(f_j), with z = c + i s and w_j = amp e^(i phase),
     and Horner's rule over the descending plan forms it with one complex product
-    per term: add w_j, then multiply by z^step (_cis_power across a gap, once per
-    distinct step in a call), so one sine and cosine per point serve every term.
-    At a float that is Python's complex arithmetic.  An array runs the same
-    operations on real pairs in four work arrays, in the order CPython's complex
-    product uses (re pc - im ps, im pc + re ps), so each element gets the float
-    call's bits; numpy's complex multiply may be fused and is not bitwise
-    Python's.  c and s are not modified.
+    per term: add w_j, then multiply by z^step (_cis_power across a gap), so one
+    sine and cosine per point serve every term.  At a float that is Python's
+    complex arithmetic.  An array runs the same operations on real pairs in four
+    work arrays, in the order CPython's complex product uses (re pc - im ps,
+    im pc + re ps), so each element gets the float call's bits; numpy's complex
+    multiply may be fused and is not bitwise Python's.  c and s are not modified.
     """
     if isinstance(c, float):
-        z, acc, powers = complex(c, s), 0j, {}
+        z, acc = complex(c, s), 0j
         for step, w in plan:
             acc = acc + w
             if step:
-                acc = acc * (z if step == 1 else complex(*_step_power(powers, c, s, step)))
+                acc = acc * (z if step == 1 else complex(*_cis_power(c, s, step)))
         return acc.imag
-    powers = {1: (c, s)}
     step, w = plan[0]
     # 0.0 + w.real is the float call's first sum 0j + w, which takes -0.0 to 0.0
     re, im = np.full_like(c, 0.0 + w.real), np.full_like(c, 0.0 + w.imag)
     t, u = np.empty_like(c), np.empty_like(c)
     for term in plan[1:]:
         if step:
-            pc, ps = _step_power(powers, c, s, step)
+            pc, ps = (c, s) if step == 1 else _cis_power(c, s, step)
             np.multiply(re, pc, out=t)
             np.multiply(im, ps, out=u)
             t -= u
@@ -227,7 +218,7 @@ def _trig_sum(plan, c, s):
         re += w.real
         im += w.imag
     # the lowest term's product needs only its imaginary part
-    pc, ps = _step_power(powers, c, s, step)
+    pc, ps = (c, s) if step == 1 else _cis_power(c, s, step)
     np.multiply(re, ps, out=re)
     np.multiply(im, pc, out=im)
     im += re

@@ -271,7 +271,7 @@ terms_st = st.lists(
 @example(terms=[TwistTerm(1, -0.0, 0.0)], winding=-2, xs=[0.0, 0.5])
 @example(terms=[TwistTerm(2, 0.5, 0.7), TwistTerm(4, -0.1, 3.0)], winding=-3,
          xs=[0.0, 0.25, 0.6])
-# four terms sharing one gap step of 3, whose power is formed once per call
+# four terms sharing one gap step of 3
 @example(terms=[TwistTerm(3, 0.3, 0.2), TwistTerm(6, -0.2, 1.7), TwistTerm(9, 0.15, 3.1),
                 TwistTerm(12, 0.05, 5.0)], winding=1, xs=[0.0, 0.37, 0.81])
 @settings(max_examples=100, deadline=None)

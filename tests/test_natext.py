@@ -96,23 +96,17 @@ def special_wraps() -> np.ndarray:
     return np.array([y for y in ys if -0.5 <= y < 1.5])
 
 
-def test_floor_wrap_is_np_mod_bitwise():
-    rng = rng_from(41)
-    ys = np.concatenate([special_wraps(), rng.uniform(-0.5, 1.5, size=100_000),
-                         -10.0 ** -rng.uniform(0.5, 320.0, size=10_000),
-                         1.0 + 10.0 ** -rng.uniform(1.0, 17.0, size=10_000)])
-    assert np.any(np.signbit(ys) & (ys == 0.0))
-    want = np.mod(ys, 1.0)
-    assert np.array_equal((ys - np.floor(ys)).view(np.uint64), want.view(np.uint64))
-
-
 @pytest.mark.parametrize("k", [2, 8])
 def test_bumps_match_the_np_mod_formula_bitwise(k, real2, real8):
-    """_bumps wraps with y - floor(y); the bump rows first computed with
-    np.mod(y, 1.0) must come out with the same bits."""
+    """_bumps wraps y = offset + 0.5 with y - floor(y); the bump rows first
+    computed with np.mod(y, 1.0) must come out with the same bits, on the
+    special wraps, small negative y (offsets just below -0.5, down to where
+    the sum rounds to 0) and y just above 1, whose wrap rounds once."""
     real = {2: real2, 8: real8}[k]
     rng = rng_from(43, k)
-    offsets = np.concatenate([special_wraps() - 0.5, rng.uniform(-1.0, 1.0, size=20_000)])
+    offsets = np.concatenate([special_wraps() - 0.5, rng.uniform(-1.0, 1.0, size=20_000),
+                              -0.5 - 10.0 ** -rng.uniform(0.5, 320.0, size=10_000),
+                              0.5 + 10.0 ** -rng.uniform(1.0, 17.0, size=10_000)])
     edges = np.array([s * r for s in (-1.0, 1.0) for r in (real.r_inner, real.r_outer)])
     offsets = np.concatenate([offsets, edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
                               edges - 1.0, edges + 1.0])
