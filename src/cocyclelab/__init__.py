@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .circle import (
     BackwardItinerary,
     ExpandingMap,
-    PeriodicPoint,
+    PeriodicPoints,
     apply_map,
     circle_distance,
     orbit_from_digits,

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import _integral, _real
 
+# the j that periodic_points may walk: its peak is about 17 traced bytes per j
+# of the top period's walk plus 8 per point kept (17-25 B per point), so about
+# 250 MB at the cap; one object per point took 96 B per point, about 1 GB
 MAX_ENUMERATION = 10_000_000
 # the largest k whose digit windows fit int64 (window_width)
 MAX_STREAM_K = 512
@@ -181,30 +183,32 @@ def orbit_from_digits(k: int, digits, n: int) -> np.ndarray:
 # -- periodic points ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodicPoint:
-    """x = numerator/(k^n - 1) with minimal period n, held as ints; as_float
-    divides them, which Python rounds correctly, so it is float(x)."""
+@dataclass(frozen=True, slots=True, eq=False)
+class PeriodicPoints:
+    """The points of minimal period 1 .. len(blocks) under x -> k x, exact.
 
-    numerator: int
-    denominator: int
-    period: int
+    blocks[n - 1] is a read-only (orbits, n) int64 array of numerators over
+    k^n - 1: each row is one orbit j, k j, k^2 j, ... mod k^n - 1 from its
+    least point j, the rows ascending in j.  len() is the number of points.
+    """
 
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+    k: int
+    blocks: tuple[np.ndarray, ...]
 
-    def as_float(self) -> float:
-        return self.numerator / self.denominator
+    def __len__(self) -> int:
+        return sum(b.size for b in self.blocks)
 
 
-def periodic_points(m: ExpandingMap, max_period: int) -> list[PeriodicPoint]:
-    """All periodic points of minimal period <= max_period, exact rationals.
+def periodic_points(m: ExpandingMap, max_period: int) -> PeriodicPoints:
+    """All periodic points of minimal period <= max_period, one block per period.
 
     f^n fixes exactly the k^n - 1 rationals j/(k^n - 1), and f maps
-    j/(k^n - 1) to (k j mod (k^n - 1))/(k^n - 1).  Points come orbit by
-    orbit in orbit order, each orbit starting at its least point, the
-    orbits ordered by (period, least point).
+    j/(k^n - 1) to (k j mod (k^n - 1))/(k^n - 1).  j is the least point of
+    its orbit and n its minimal period iff each of its n - 1 proper
+    rotations k^s j mod (k^n - 1) lies strictly above j, so one array walk
+    per period marks the orbits.  Under MAX_ENUMERATION every product
+    k y < k (k^n - 1) stays below 2^53, so int64 holds it and each
+    numerator and denominator converts to float exactly.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -213,29 +217,29 @@ def periodic_points(m: ExpandingMap, max_period: int) -> list[PeriodicPoint]:
     if walk > MAX_ENUMERATION:
         raise OverflowError(f"periods <= {max_period} walk {walk} values of j, "
                             f"above the enumeration cap {MAX_ENUMERATION}")
-    out = []
+    blocks = []
     for n in range(1, max_period + 1):
         denom = k**n - 1
-        for j in range(denom):
-            # j is the least point of its cycle and n its minimal period iff
-            # the walk from j stays above j and returns after n steps
-            cycle = [j]
-            y = j * k % denom
-            while y > j:
-                cycle.append(y)
-                y = y * k % denom
-            if y == j and len(cycle) == n:
-                out.extend(PeriodicPoint(i, denom, n) for i in cycle)
-    return out
+        j = np.arange(denom, dtype=np.int64)
+        least = np.ones(denom, dtype=bool)
+        y = j.copy()
+        for _ in range(n - 1):
+            y *= k
+            y %= denom
+            least &= y > j
+        block = np.empty((int(np.count_nonzero(least)), n), dtype=np.int64)
+        block[:, 0] = j[least]
+        for s in range(1, n):
+            np.multiply(block[:, s - 1], k, out=block[:, s])
+            block[:, s] %= denom
+        block.flags.writeable = False
+        blocks.append(block)
+    return PeriodicPoints(k, tuple(blocks))
 
 
-def periodic_orbits(m: ExpandingMap, max_period: int) -> list[list[PeriodicPoint]]:
-    """Periodic points grouped into orbits, each starting at its smallest
-    point, sorted by (period, representative)."""
+def periodic_orbits(m: ExpandingMap, max_period: int) -> list[tuple[int, np.ndarray]]:
+    """(k^n - 1, block) for n = 1 .. max_period: periodic_points' blocks, each
+    with the denominator of its numerators; orbits come in (period, least
+    point) order."""
     pts = periodic_points(m, max_period)
-    orbits = []
-    i = 0
-    while i < len(pts):
-        orbits.append(pts[i:i + pts[i].period])
-        i += pts[i].period
-    return orbits
+    return [(pts.k**n - 1, block) for n, block in enumerate(pts.blocks, 1)]

@@ -355,30 +355,40 @@ def cmd_continuity(cfg, spec, map_):
     return results, EXIT_OK if ok else EXIT_CROSS_CHECK, csv
 
 
+def _fraction_str(j: int, denom: int) -> str:
+    """str(Fraction(j, denom)) for 0 <= j < denom, without building the Fraction."""
+    g = math.gcd(j, denom)
+    return str(j // g) if g == denom else f"{j // g}/{denom // g}"
+
+
 def cmd_scan_periodic(cfg, spec, map_):
-    orbits = periodic_orbits(map_, cfg["max_period"])
     table = []
     witness = None
-    n_hyp = 0
-    for orbit in orbits:
-        # raw entries, not Mat2: its sqrt(det) rescaling is cancellation noise for large factors
-        a, b, c, d = 1.0, 0.0, 0.0, 1.0
-        for p in orbit:
-            a, b, c, d = _mul(*evaluate(spec, p.as_float()), a, b, c, d)
-        trace = a + d
-        if not math.isfinite(trace):  # a non-finite entry reaches a or d
-            raise NumericOverflowError(f"orbit product at {orbit[0].x} left float range")
-        hyp = abs(trace) > 2.0 + cfg["tol"]
-        n_hyp += hyp
-        entry = {"period": orbit[0].period, "representative": str(orbit[0].x),
-                 "trace": trace, "hyperbolic": hyp}
-        table.append(entry)
-        if hyp and witness is None:
-            witness = dict(entry, x_float=orbit[0].as_float())
+    n_hyp = n_points = 0
+    for denom, block in periodic_orbits(map_, cfg["max_period"]):
+        period = block.shape[1]
+        n_points += block.size
+        # numerators and denom are below 2^53, so each quotient has int/int's bits
+        for least, orbit in zip(block[:, 0].tolist(), (block / denom).tolist()):
+            # raw entries, not Mat2: its sqrt(det) rescaling is cancellation noise for large factors
+            a, b, c, d = 1.0, 0.0, 0.0, 1.0
+            for x in orbit:
+                a, b, c, d = _mul(*evaluate(spec, x), a, b, c, d)
+            trace = a + d
+            representative = _fraction_str(least, denom)
+            if not math.isfinite(trace):  # a non-finite entry reaches a or d
+                raise NumericOverflowError(f"orbit product at {representative} left float range")
+            hyp = abs(trace) > 2.0 + cfg["tol"]
+            n_hyp += hyp
+            entry = {"period": period, "representative": representative,
+                     "trace": trace, "hyperbolic": hyp}
+            table.append(entry)
+            if hyp and witness is None:
+                witness = dict(entry, x_float=orbit[0])
     results = {
         "max_period": cfg["max_period"],
-        "n_points": sum(len(o) for o in orbits),
-        "n_orbits": len(orbits),
+        "n_points": n_points,
+        "n_orbits": len(table),
         "n_hyperbolic": n_hyp,
         "witness": witness,
         "orbits": table[:500],

@@ -176,8 +176,11 @@ def holonomy_equivariance_residual(spec: CocycleSpec, m: ExpandingMap,
         raise HolonomyDivergedError(
             "holonomy limit did not converge; equivariance residual undefined"
         )
-    ax = Mat2(*evaluate(spec, x_it.x0))
-    ay = Mat2(*evaluate(spec, y_it.x0))
-    lhs = ay @ here.h
-    rhs = ahead.h @ ax
-    return _s_max(lhs.a - rhs.a, lhs.b - rhs.b, lhs.c - rhs.c, lhs.d - rhs.d)
+    # per-point products stay raw entries: A(y) h and h' A(x) through _mul, no Mat2
+    h, g = here.h, ahead.h
+    la, lb, lc, ld = _mul(*evaluate(spec, y_it.x0), h.a, h.b, h.c, h.d)
+    ra, rb, rc, rd = _mul(g.a, g.b, g.c, g.d, *evaluate(spec, x_it.x0))
+    res = _s_max(la - ra, lb - rb, lc - rc, ld - rd)
+    if not math.isfinite(res):
+        raise NumericOverflowError("non-finite holonomy equivariance residual")
+    return res

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import BackwardItinerary, ExpandingMap, apply_map, circle_distance, shift_backward
+from .circle import BackwardItinerary, ExpandingMap, apply_map, circle_distance
 from .errors import ResolutionError
 
 # aligned_anchor's 2^-49 lattice keeps x + d exact for digits d < k <= 8
@@ -193,11 +193,16 @@ def iota(real: NatExtRealization, it: BackwardItinerary) -> EmbeddedPoint:
     """
     if it.k != real.map.k:
         raise ValueError("itinerary degree does not match the realization")
-    rows = real.h_many(it.points()[1:])
+    return EmbeddedPoint(it.x0, _fold(real, real.h_many(it.points()[1:])))
+
+
+def _fold(real: NatExtRealization, rows: np.ndarray) -> np.ndarray:
+    """The fiber of iota from the bump rows of x_{-1}, ..., x_{-depth}: one
+    fiber_step per row, deepest first, from the zero fiber."""
     v = np.zeros(real.n_charts)
     for hx in rows[::-1]:
         v = real.fiber_step(hx, v)
-    return EmbeddedPoint(it.x0, v)
+    return v
 
 
 def conjugacy_residual(real: NatExtRealization, it: BackwardItinerary) -> tuple[float, float]:
@@ -206,16 +211,21 @@ def conjugacy_residual(real: NatExtRealization, it: BackwardItinerary) -> tuple[
     Both embeddings are read off the same depth-d itinerary, the left side
     through its depth-(d-1) backward shift, so each lies within lam^d of
     the true iota image and the residual checks that apply_g really is the
-    shift conjugated by iota.  The two finite evaluations share every
-    fiber_step; with an anchor whose digit sums stay exactly representable
-    (see aligned_anchor) the residual is exactly zero.
+    shift conjugated by iota.  The shift's anchor is x_{-1} and its bump
+    rows are the itinerary's without the first (shift_backward's points,
+    bit for bit), so one h_many call serves both folds.  The two finite
+    evaluations share every fiber_step; with an anchor whose digit sums stay
+    exactly representable (see aligned_anchor) the residual is exactly zero.
     """
     if it.depth < 1:
         raise ValueError("need depth >= 1")
-    a = iota(real, it)
-    b = iota(real, shift_backward(it))
-    gb = apply_g(real, b.base, b.fiber)
-    err = math.hypot(circle_distance(gb.base, a.base), float(np.linalg.norm(gb.fiber - a.fiber)))
+    if it.k != real.map.k:
+        raise ValueError("itinerary degree does not match the realization")
+    pts = it.points()
+    rows = real.h_many(pts[1:])
+    gb = apply_g(real, pts[1], _fold(real, rows[1:]))
+    a = _fold(real, rows)
+    err = math.hypot(circle_distance(gb.base, it.x0), float(np.linalg.norm(gb.fiber - a)))
     return err, real.lam**it.depth
 
 

@@ -1,6 +1,7 @@
 """Base dynamics: branches, itineraries, digit-stream orbits, periodic points."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from _util import sample_unstable_neighbor
 from cocyclelab import (
     BackwardItinerary,
     ExpandingMap,
-    PeriodicPoint,
     apply_map,
     circle_distance,
     orbit_from_digits,
@@ -280,35 +280,48 @@ def test_periodic_point_counts():
     # f^n has exactly k^n - 1 fixed points; minimal periods partition them
     for k, max_n in ((2, 12), (3, 7), (8, 4)):
         pts = periodic_points(ExpandingMap(k), max_n)
+        assert len(pts.blocks) == max_n
+        assert len(pts) == sum(block.size for block in pts.blocks)
         for n in range(1, max_n + 1):
-            fixed = sum(1 for p in pts if n % p.period == 0)
+            fixed = sum(block.size for period, block in enumerate(pts.blocks, 1)
+                        if n % period == 0)
             assert fixed == k**n - 1, (k, n)
 
 
 def test_periodic_points_are_exactly_periodic():
-    for p in periodic_points(ExpandingMap(3), 5):
-        x = p.x
-        for _ in range(p.period):
-            x = (3 * x) % 1
-        assert x == p.x
-        # and not with any smaller period
-        x, seen = p.x, 0
-        for step in range(1, p.period):
-            x = (3 * x) % 1
-            assert x != p.x
+    for denom, block in periodic_orbits(ExpandingMap(3), 5):
+        for row in block.tolist():
+            orbit = [Fraction(j, denom) for j in row]
+            for x in orbit:
+                y = x
+                for _ in range(len(orbit)):
+                    y = (3 * y) % 1
+                assert y == x
+                # and not with any smaller period
+                y = x
+                for step in range(1, len(orbit)):
+                    y = (3 * y) % 1
+                    assert y != x
+
+
+def test_periodic_point_blocks_are_read_only_int64():
+    pts = periodic_points(ExpandingMap(5), 4)
+    for n, block in enumerate(pts.blocks, 1):
+        assert block.dtype == np.int64 and block.shape[1] == n
+        assert not block.flags.writeable
 
 
 def test_periodic_orbit_structure():
-    orbits = periodic_orbits(ExpandingMap(2), 6)
-    all_points = [p.x for o in orbits for p in o]
+    orbits = [[Fraction(j, denom) for j in row]
+              for denom, block in periodic_orbits(ExpandingMap(2), 6) for row in block.tolist()]
+    all_points = [x for o in orbits for x in o]
     assert len(all_points) == len(set(all_points))
-    assert sum(len(o) for o in orbits) == len(periodic_points(ExpandingMap(2), 6))
+    assert len(all_points) == len(periodic_points(ExpandingMap(2), 6))
     for o in orbits:
-        assert len(o) == o[0].period
-        assert o[0].x == min(p.x for p in o)
+        assert o[0] == min(o)
         for a, b in zip(o, o[1:] + o[:1]):
-            assert (2 * a.x) % 1 == b.x
-    keys = [(o[0].period, o[0].x) for o in orbits]
+            assert (2 * a) % 1 == b
+    keys = [(len(o), o[0]) for o in orbits]
     assert keys == sorted(keys)
 
 
@@ -321,13 +334,15 @@ def _minimal_period(j: int, n: int, k: int) -> int:
     return n
 
 
-def orbits_by_fractions(k: int, max_period: int) -> list[list[PeriodicPoint]]:
+def orbits_by_fractions(k: int, max_period: int) -> list[tuple[int, list[list[int]]]]:
     """The orbits by an independent route: minimal periods by divisibility,
     each orbit walked in Fraction arithmetic, rotated to its least point,
-    sorted by (period, least point)."""
-    seen, orbits = set(), []
+    sorted by least point; per period n, k^n - 1 and the orbits' numerators
+    over it."""
+    seen, out = set(), []
     for n in range(1, max_period + 1):
         denom = k**n - 1
+        orbits = []
         for j in range(denom):
             x = Fraction(j, denom)
             if _minimal_period(j, n, k) != n or x in seen:
@@ -340,10 +355,11 @@ def orbits_by_fractions(k: int, max_period: int) -> list[list[PeriodicPoint]]:
             i = cycle.index(min(cycle))
             cycle = cycle[i:] + cycle[:i]
             seen.update(cycle)
-            orbits.append([PeriodicPoint(y.numerator * (denom // y.denominator), denom, n)
-                           for y in cycle])
-    orbits.sort(key=lambda o: (o[0].period, o[0].x))
-    return orbits
+            orbits.append(cycle)
+        orbits.sort(key=lambda o: o[0])
+        out.append((denom, [[y.numerator * (denom // y.denominator) for y in o]
+                            for o in orbits]))
+    return out
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -351,8 +367,11 @@ def test_periodic_orbits_match_rational_enumeration(k):
     # the largest period whose k^n - 1 fixed points stay below 10^4
     max_period = max(n for n in range(1, 14) if k**n - 1 <= 10_000)
     want = orbits_by_fractions(k, max_period)
-    assert periodic_orbits(ExpandingMap(k), max_period) == want
-    assert periodic_points(ExpandingMap(k), max_period) == [p for o in want for p in o]
+    got = periodic_orbits(ExpandingMap(k), max_period)
+    assert [(denom, block.tolist()) for denom, block in got] == want
+    pts = periodic_points(ExpandingMap(k), max_period)
+    assert pts.k == k
+    assert [block.tolist() for block in pts.blocks] == [rows for _, rows in want]
 
 
 def test_periodic_orbits_enumerate_once(monkeypatch):
@@ -366,12 +385,25 @@ def test_periodic_orbits_enumerate_once(monkeypatch):
     orbits = periodic_orbits(ExpandingMap(3), 4)
     assert calls == [4]
     # fixed points of f^4 and of f^3, which share the 2 fixed points of f
-    assert sum(len(o) for o in orbits) == (3**4 - 1) + (3**3 - 1) - 2
+    assert sum(block.size for _, block in orbits) == (3**4 - 1) + (3**3 - 1) - 2
 
 
 def test_fixed_points_explicit():
-    orbits = periodic_orbits(ExpandingMap(8), 1)
-    assert [o[0].x for o in orbits] == [Fraction(j, 7) for j in range(7)]
+    [(denom, block)] = periodic_orbits(ExpandingMap(8), 1)
+    assert denom == 7
+    assert block.tolist() == [[j] for j in range(7)]
+
+
+def test_periodic_points_hold_about_one_int64_per_point():
+    # 130 485 points; one frozen object per point took 96 traced bytes each
+    tracemalloc.start()
+    try:
+        pts = periodic_points(ExpandingMap(2), 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 130_485
+    assert peak <= 32 * len(pts), peak / len(pts)
 
 
 def test_enumeration_cap_bounds_the_walk(monkeypatch):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, determinism, config."""
 
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -26,6 +27,7 @@ from cocyclelab.cli import (
     DEFAULTS,
     NULLABLE_TYPES,
     RUNNERS,
+    _fraction_str,
     build_parser,
     main,
     resolve_config,
@@ -272,6 +274,24 @@ def test_scan_periodic_large_base_traces(tmp_path):
         assert abs(float(row["trace"]) - (a + d)) <= 1e-12 * abs(a + d), row
 
 
+def test_scan_periodic_csv_is_pinned(tmp_path):
+    """The default run's full table: 7 763 orbits, of which the report keeps 500.
+    Its digest was taken when the orbits were still enumerated one object per
+    point, with Fraction representatives."""
+    out_csv = tmp_path / "orbits.csv"
+    code, _ = run_cli(["scan-periodic", "--csv", str(out_csv)], tmp_path)
+    data = out_csv.read_bytes()
+    assert code == 0 and data.count(b"\n") == 1 + 7763
+    assert hashlib.sha256(data).hexdigest() == (
+        "7445a0b27f6ed71b43ae5a236a1fcdde371cc116d48b4bfb69df0c62c122eea6")
+
+
+def test_representatives_are_the_fraction_strings():
+    for denom in range(1, 300):
+        for j in range(denom):
+            assert _fraction_str(j, denom) == str(Fraction(j, denom)), (j, denom)
+
+
 # -- exit code 2: numeric failure -------------------------------------------------
 
 @pytest.mark.parametrize("exc", [
@@ -475,6 +495,10 @@ def test_spec_file_overrides_config_spec(tmp_path):
                  id="robustness-3"),
     pytest.param("section_k8", ["section", "--k", "8", "--grid", "512", "--iterations", "10",
                                 "--restarts", "2"], id="section-8"),
+    pytest.param("scan_periodic_k8", ["scan-periodic"], id="scan-periodic-8"),
+    # holds the orbit of 1/4, whose trace is 2 exactly
+    pytest.param("scan_periodic_k3", ["scan-periodic", "--k", "3", "--max-period", "7"],
+                 id="scan-periodic-3"),
 ])
 def test_baseline_regenerates(baseline, args, tmp_path):
     """Runs with the recorded arguments must reproduce the frozen

@@ -1,7 +1,8 @@
 """The per-point calls a traced benchmark run counts, at the totals it requires.
 
-A traced run of bench/run.py counts `evaluate` calls (cocycle.evals) and the
-steps passed to `cocycle_product` (cocycle.steps), and bench/run.py's
+A traced run of bench/run.py counts `evaluate` calls (cocycle.evals), the
+steps passed to `cocycle_product` (cocycle.steps) and the length of what
+`periodic_points` returns (part of circle.points), and bench/run.py's
 expected_counts requires exact totals that follow from a command's config.
 The formulas are restated here, so that a change dropping or adding one
 per-point call fails the suite and not only a traced benchmark run.
@@ -14,7 +15,7 @@ import pkgutil
 import pytest
 
 import cocyclelab
-from cocyclelab import cocycle
+from cocyclelab import circle, cocycle
 from cocyclelab.cli import main
 
 
@@ -27,10 +28,11 @@ def _namespaces() -> list:
 
 @pytest.fixture
 def counted(monkeypatch) -> dict:
-    """Counts of evaluate calls and cocycle_product steps from here on, by
-    wrapping both in every namespace that imported them."""
-    counts = {"evals": 0, "product_steps": 0}
+    """Counts of evaluate calls, cocycle_product steps and periodic points from
+    here on, by wrapping the three functions in every namespace that imported them."""
+    counts = {"evals": 0, "product_steps": 0, "periodic_points": 0}
     evaluate, product = cocycle.evaluate, cocycle.cocycle_product
+    periodic_points = circle.periodic_points
 
     def counted_evaluate(spec, x):
         counts["evals"] += 1
@@ -40,7 +42,13 @@ def counted(monkeypatch) -> dict:
         counts["product_steps"] += n
         return product(spec, m, x, n)
 
-    wrappers = {id(evaluate): counted_evaluate, id(product): counted_product}
+    def counted_periodic_points(m, max_period):
+        result = periodic_points(m, max_period)
+        counts["periodic_points"] += len(result)
+        return result
+
+    wrappers = {id(evaluate): counted_evaluate, id(product): counted_product,
+                id(periodic_points): counted_periodic_points}
     for ns in _namespaces():
         for attr, value in list(vars(ns).items()):
             if id(value) in wrappers:
@@ -105,6 +113,10 @@ def test_counted_calls_match_the_config(args, counted, tmp_path, monkeypatch):
     config = json.loads(out.read_text())["config"]
     want_evals, want_steps = EXPECTED[args[0]](config)
     assert (counted["evals"], counted["product_steps"]) == (want_evals, want_steps)
+    # the traced circle.points of scan-periodic is the length of periodic_points' result
+    want_points = (_periodic_point_count(config["k"], config["max_period"])
+                   if args[0] == "scan-periodic" else 0)
+    assert counted["periodic_points"] == want_points
 
 
 

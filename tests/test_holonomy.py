@@ -10,10 +10,14 @@ from cocyclelab import (
     BackwardItinerary,
     ExpandingMap,
     HolonomyDivergedError,
+    HolonomyResult,
     LeafMismatchError,
+    Mat2,
+    NumericOverflowError,
     holonomy_equivariance_residual,
     u_holonomy,
 )
+from cocyclelab import holonomy
 
 
 def leaf_pair(k: int, seed: int, depth: int = 60):
@@ -278,4 +282,17 @@ def test_equivariance_detects_branch_split():
     x_it = BackwardItinerary(8, 0.999 / 8, (3,) * 60)
     y_it = sample_unstable_neighbor(x_it, 0.002 / 8)
     with pytest.raises(LeafMismatchError):
+        holonomy_equivariance_residual(spec, m, x_it, y_it)
+
+
+def test_equivariance_raises_on_a_non_finite_residual(monkeypatch):
+    """Both sides are raw entries, so a product past float range shows as a
+    non-finite residual, which raises as a Mat2 product did.  With
+    h = diag(1.7e308, 1/1.7e308) one of h A(x)'s top entries overflows,
+    since max(|A(x)_11|, |A(x)_12|) >= sqrt(2) for the example."""
+    spec, m = example_spec(), example_map()
+    x_it, y_it = leaf_pair(8, seed=0)
+    huge = HolonomyResult(Mat2.diagonal(1.7e308), 1, 0.0, True, (0.0,))
+    monkeypatch.setattr(holonomy, "u_holonomy", lambda *args, **kwargs: huge)
+    with pytest.raises(NumericOverflowError):
         holonomy_equivariance_residual(spec, m, x_it, y_it)

@@ -12,10 +12,12 @@ from cocyclelab import (
     apply_g,
     apply_map,
     build_realization,
+    circle_distance,
     conjugacy_residual,
     iota,
     rng_from,
     separation_certificate,
+    shift_backward,
     shift_forward,
 )
 from cocyclelab.natext import _PLATEAU_SLOPE, _plateau
@@ -350,6 +352,32 @@ def test_conjugacy_identity_is_exact(k, real2, real8):
         err, bound = conjugacy_residual(real, it)
         assert bound == real.lam**20
         assert err == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_conjugacy_shares_the_rows_of_the_backward_shift_bitwise(k, real2, real8):
+    """conjugacy_residual folds the shifted itinerary from rows[1:] of its one
+    h_many call and applies g at x_{-1}.  Those are shift_backward's anchor
+    and bump rows bit for bit, so the residual is the one computed with a
+    second iota; off the aligned lattice it is nonzero, so its bits show."""
+    real = {2: real2, 8: real8}[k]
+    rng = rng_from(556, k)
+    nonzero = 0
+    for depth in (1, 2, 7, 20):
+        for _ in range(25):
+            digits = tuple(int(d) for d in rng.integers(0, k, size=depth))
+            it = BackwardItinerary(k, float(rng.random()), digits)
+            pts, back = it.points(), shift_backward(it)
+            rows = real.h_many(pts[1:])
+            assert back.x0 == pts[1]
+            assert real.h_many(back.points()[1:]).tobytes() == rows[1:].tobytes()
+            a, b = iota(real, it), iota(real, back)
+            gb = apply_g(real, b.base, b.fiber)
+            want = math.hypot(circle_distance(gb.base, a.base),
+                              float(np.linalg.norm(gb.fiber - a.fiber)))
+            assert conjugacy_residual(real, it) == (want, real.lam**depth)
+            nonzero += want > 0.0
+    assert nonzero >= 20, nonzero
 
 
 def test_conjugacy_requires_depth(real8):

@@ -121,14 +121,10 @@ _NONFINITE = [
     tuple(bad if i == j else (1.0, 0.0, 0.0, 1.0)[j] for j in range(4))
     for bad in (math.nan, math.inf, -math.inf) for i in range(4)
 ]
-RENORMALIZATION_CASES = [
+SQRT_DET_CASES = [
     (math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3)),
     (1.0, 0.0, 0.0, -1e-300),
     *_NONFINITE,
-]
-# the cases moved so far to test_constructor_matches_sqrt_det_renormalization,
-# the name that says what is checked; the rest follow a few at a time
-SQRT_DET_CASES = [
     (1, 0, 0, 1),  # integers are stored as floats
     (2, 1, 1, 1),
     (1, 5, 0, 1),
@@ -150,12 +146,6 @@ SQRT_DET_CASES = [
     (-1.0, 0.0, 0.0, 1.0),  # det < 0
     (0.0, 1.0, 1.0, 0.0),
 ]
-
-
-@pytest.mark.parametrize("entries", RENORMALIZATION_CASES, ids=repr)
-def test_fast_path_matches_construction_before_it(entries):
-    """Mat2 equals the sqrt(det) renormalization of its entries as floats."""
-    assert _outcome(Mat2, entries) == _outcome(_sqrt_det_renormalization, entries)
 
 
 @pytest.mark.parametrize("entries", SQRT_DET_CASES, ids=repr)

@@ -42,7 +42,7 @@ INSTANCES = [
     LyapunovEstimate(0.1, 0.01, 10, 2, 1, "norm_growth"),
     ExpandingMap(8),
     BackwardItinerary(8, 0.3, (1, 2)),
-    periodic_points(ExpandingMap(2), 2)[0],
+    periodic_points(ExpandingMap(2), 2),
     HolonomyResult(Mat2.identity(), 1, 0.0, True, (0.0,)),
     NatExtRealization(ExpandingMap(8), 2, (0.25, 0.75), 0.1, 0.2, 1.0, 0.5),
     ProjectiveLoop(np.zeros(8)),
