@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import _integral, _real
 
-# the j that periodic_points may walk: its peak is about 17 traced bytes per j
-# of the top period's walk plus 8 per point kept (17-25 B per point), so about
-# 250 MB at the cap; one object per point took 96 B per point, about 1 GB
+# the j that periodic_points may walk: it keeps 8 bytes per point, so about
+# 80 MB at the cap; one object per point took 96 B per point, about 1 GB
 MAX_ENUMERATION = 10_000_000
+# the j that periodic_points walks at once (about 18 traced bytes each): the
+# whole top period at the scan-periodic defaults k = 8, max_period 5 (32 767 j)
+WALK_CHUNK = 1 << 15
 # the largest k whose digit windows fit int64 (window_width)
 MAX_STREAM_K = 512
 
@@ -206,9 +208,12 @@ def periodic_points(m: ExpandingMap, max_period: int) -> PeriodicPoints:
     j/(k^n - 1) to (k j mod (k^n - 1))/(k^n - 1).  j is the least point of
     its orbit and n its minimal period iff each of its n - 1 proper
     rotations k^s j mod (k^n - 1) lies strictly above j, so one array walk
-    per period marks the orbits.  Under MAX_ENUMERATION every product
-    k y < k (k^n - 1) stays below 2^53, so int64 holds it and each
-    numerator and denominator converts to float exactly.
+    per period marks the orbits.  The walk goes WALK_CHUNK values of j at a
+    time into a block sized beforehand: of the k^n - 1 points f^n fixes,
+    those of the shorter periods d | n are known, and n of the rest form
+    each orbit.  Under MAX_ENUMERATION every product k y < k (k^n - 1)
+    stays below 2^53, so int64 holds it and each numerator and denominator
+    converts to float exactly.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -220,15 +225,20 @@ def periodic_points(m: ExpandingMap, max_period: int) -> PeriodicPoints:
     blocks = []
     for n in range(1, max_period + 1):
         denom = k**n - 1
-        j = np.arange(denom, dtype=np.int64)
-        least = np.ones(denom, dtype=bool)
-        y = j.copy()
-        for _ in range(n - 1):
-            y *= k
-            y %= denom
-            least &= y > j
-        block = np.empty((int(np.count_nonzero(least)), n), dtype=np.int64)
-        block[:, 0] = j[least]
+        shorter = sum(blocks[d - 1].size for d in range(1, n) if n % d == 0)
+        block = np.empty(((denom - shorter) // n, n), dtype=np.int64)
+        row = 0
+        for start in range(0, denom, WALK_CHUNK):
+            j = np.arange(start, min(start + WALK_CHUNK, denom), dtype=np.int64)
+            least = np.ones(j.size, dtype=bool)
+            y = j.copy()
+            for _ in range(n - 1):
+                y *= k
+                y %= denom
+                least &= y > j
+            kept = j[least]
+            block[row:row + kept.size, 0] = kept
+            row += kept.size
         for s in range(1, n):
             np.multiply(block[:, s - 1], k, out=block[:, s])
             block[:, s] %= denom

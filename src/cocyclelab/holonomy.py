@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 from .circle import BackwardItinerary, ExpandingMap, shift_forward
 from .cocycle import TWO_PI, CocycleSpec, _product_step, evaluate
-from .errors import HolonomyDivergedError, LeafMismatchError, NumericOverflowError
+from .errors import (HolonomyDivergedError, LeafMismatchError, NumericOverflowError,
+                     _integral, _real)
 from .sl2 import Mat2, _mul, _s_max
 
 
@@ -68,6 +69,14 @@ def _check_same_leaf(m: ExpandingMap, x_it: BackwardItinerary, y_it: BackwardIti
         )
 
 
+# the latest u_holonomy call: (spec, m, x_it, y_it, tol, max_depth, result) or None.
+# The argument objects are held, so their ids stay theirs, and matched by identity:
+# holonomy_equivariance_residual's "here" is the pair its caller has just walked.
+# The result is a frozen value, so handing it out again is safe.  The slot goes
+# once the work counters live in the package and the caller passes "here" in.
+_last: tuple | None = None
+
+
 def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
                y_it: BackwardItinerary, tol: float = 1e-8,
                max_depth: int = 60) -> HolonomyResult:
@@ -77,14 +86,33 @@ def u_holonomy(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
     most tol (Cauchy criterion; no extrapolation).  Both itineraries must
     record at least max_depth digits, so non-convergence is a statement
     about the cocycle rather than about missing data; x_it's backward
-    orbit (its preimages()) is walked only down to the depth used.
+    orbit (its preimages()) is walked only down to the depth used.  A call
+    with the very objects (and equal tol, max_depth) of the latest one
+    returns that call's result without walking the series again.
     """
+    global _last
+    max_depth = _integral("max_depth", max_depth)
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    tol = _real("tol", tol)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    last = _last
+    if (last is not None and last[0] is spec and last[1] is m and last[2] is x_it
+            and last[3] is y_it and last[4] == tol and last[5] == max_depth):
+        return last[6]
+    _last = None
     _check_same_leaf(m, x_it, y_it)
     if x_it.depth < max_depth or y_it.depth < max_depth:
         raise ValueError(f"need itineraries of depth >= {max_depth}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    result = _walk(spec, m, x_it, y_it, tol, max_depth)
+    _last = (spec, m, x_it, y_it, tol, max_depth, result)
+    return result
 
+
+def _walk(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
+          y_it: BackwardItinerary, tol: float, max_depth: int) -> HolonomyResult:
+    """u_holonomy's series, on checked arguments."""
     # real (unwrapped) anchor gap: preimages under a shared branch digit
     # contract the real difference, y_{-m} - x_{-m} = (y0 - x0) / k^m
     delta = y_it.x0 - x_it.x0
@@ -163,8 +191,10 @@ def holonomy_equivariance_residual(spec: CocycleSpec, m: ExpandingMap,
                                    tol: float = 1e-8, max_depth: int = 60) -> float:
     """Operator-norm defect of A(y) h_{x,y} = h_{fx,fy} A(x).
 
-    Both holonomies are recomputed independently, so this doubles as an
-    end-to-end consistency check of the limit itself.  Raises
+    Both holonomies come from u_holonomy: h_{x,y} is the result of the
+    latest call when the caller has just made it with these objects (as
+    cmd_holonomy does), and h_{fx,fy} is walked afresh over the shifted
+    itineraries, so this still checks the limit end to end.  Raises
     HolonomyDivergedError if either limit misses its Cauchy criterion,
     and LeafMismatchError if the forward images split across an inverse
     branch boundary.

@@ -406,6 +406,37 @@ def test_periodic_points_hold_about_one_int64_per_point():
     assert peak <= 32 * len(pts), peak / len(pts)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_periodic_points_walked_in_chunks_are_the_same_blocks(chunk, monkeypatch):
+    # each chunk size splits some period's walk (k^n - 1 values of j) mid-way
+    whole = {(k, p): periodic_points(ExpandingMap(k), p) for k, p in ((2, 12), (3, 7), (8, 4))}
+    monkeypatch.setattr(circle, "WALK_CHUNK", chunk)
+    for (k, p), want in whole.items():
+        got = periodic_points(ExpandingMap(k), p)
+        assert [(b.dtype, b.shape, b.tobytes()) for b in got.blocks] == \
+            [(b.dtype, b.shape, b.tobytes()) for b in want.blocks]
+
+
+def test_periodic_point_walk_peak_does_not_grow_with_the_walk(monkeypatch):
+    """Past the blocks it returns, periodic_points holds one chunk of the
+    walk: 64 times the walk (k = 2, P = 12 -> 18) leaves the peak where it
+    was.  Holding a period's whole walk took about 17 bytes per j, 4.5 MB here."""
+    monkeypatch.setattr(circle, "WALK_CHUNK", 1024)
+
+    def transient(max_period):
+        tracemalloc.start()
+        try:
+            pts = periodic_points(ExpandingMap(2), max_period)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - sum(block.nbytes for block in pts.blocks)
+
+    short, long = transient(12), transient(18)
+    assert long <= short + 8192, (short, long)
+    assert long <= 64 * 1024, long
+
+
 def test_enumeration_cap_bounds_the_walk(monkeypatch):
     # k = 2, P = 6 walks (2 - 1) + (4 - 1) + ... + (64 - 1) = 120 values of j,
     # though the top level alone has only 63

@@ -1,21 +1,25 @@
 """The per-point calls a traced benchmark run counts, at the totals it requires.
 
 A traced run of bench/run.py counts `evaluate` calls (cocycle.evals), the
-steps passed to `cocycle_product` (cocycle.steps) and the length of what
-`periodic_points` returns (part of circle.points), and bench/run.py's
+steps passed to `cocycle_product` (cocycle.steps), the length of what
+`periodic_points` returns (part of circle.points), the `u_holonomy` calls
+and how many of them converged (holonomy.calls, holonomy.converged) and the
+`NatExtRealization.fiber_step` calls (natext.fiber_steps), and bench/run.py's
 expected_counts requires exact totals that follow from a command's config.
 The formulas are restated here, so that a change dropping or adding one
-per-point call fails the suite and not only a traced benchmark run.
+per-point call fails the suite and not only a traced benchmark run.  The
+trace wraps only plain functions, so every entry point it counts must stay one.
 """
 
 import importlib
+import inspect
 import json
 import pkgutil
 
 import pytest
 
 import cocyclelab
-from cocyclelab import circle, cocycle
+from cocyclelab import circle, cocycle, holonomy, natext
 from cocyclelab.cli import main
 
 
@@ -28,11 +32,14 @@ def _namespaces() -> list:
 
 @pytest.fixture
 def counted(monkeypatch) -> dict:
-    """Counts of evaluate calls, cocycle_product steps and periodic points from
-    here on, by wrapping the three functions in every namespace that imported them."""
-    counts = {"evals": 0, "product_steps": 0, "periodic_points": 0}
+    """Counts of evaluate calls, cocycle_product steps, periodic points, u_holonomy
+    calls (and converged ones) and fiber steps from here on, by wrapping the
+    functions in every namespace that imported them, and the method in its class."""
+    counts = {"evals": 0, "product_steps": 0, "periodic_points": 0,
+              "holonomy_calls": 0, "holonomy_converged": 0, "fiber_steps": 0}
     evaluate, product = cocycle.evaluate, cocycle.cocycle_product
-    periodic_points = circle.periodic_points
+    periodic_points, u_holonomy = circle.periodic_points, holonomy.u_holonomy
+    fiber_step = natext.NatExtRealization.fiber_step
 
     def counted_evaluate(spec, x):
         counts["evals"] += 1
@@ -47,12 +54,24 @@ def counted(monkeypatch) -> dict:
         counts["periodic_points"] += len(result)
         return result
 
+    def counted_u_holonomy(*args, **kwargs):
+        result = u_holonomy(*args, **kwargs)
+        counts["holonomy_calls"] += 1
+        counts["holonomy_converged"] += result.converged
+        return result
+
+    def counted_fiber_step(self, hx, v):
+        counts["fiber_steps"] += 1
+        return fiber_step(self, hx, v)
+
     wrappers = {id(evaluate): counted_evaluate, id(product): counted_product,
-                id(periodic_points): counted_periodic_points}
+                id(periodic_points): counted_periodic_points,
+                id(u_holonomy): counted_u_holonomy}
     for ns in _namespaces():
         for attr, value in list(vars(ns).items()):
             if id(value) in wrappers:
                 monkeypatch.setattr(ns, attr, wrappers[id(value)])
+    monkeypatch.setattr(natext.NatExtRealization, "fiber_step", counted_fiber_step)
     return counts
 
 
@@ -64,18 +83,30 @@ def _periodic_point_count(k: int, max_period: int) -> int:
     return sum(prim.values())
 
 
-# command -> (evaluate calls, cocycle_product steps) from the resolved config,
-# as bench/run.py:expected_counts requires them; no command but section
-# calls cocycle_product, whose steps the trace adds to cocycle.steps
+# command -> the counts its resolved config gives, as bench/run.py:expected_counts
+# requires them; every count a command's entry does not name is 0, but for the
+# evaluate calls of holonomy, which follow its series' depths.  No command but
+# section calls cocycle_product, whose steps the trace adds to cocycle.steps
 EXPECTED = {
-    "section": lambda c: (c["restarts"] * (c["iterations"] + c["k"]) * c["grid"] + 2 * c["grid"],
-                          c["grid"] * c["direction_steps"]),
-    "degree": lambda c: (2 * c["grid"], 0),
-    "bunching": lambda c: (c["grid"], 0),
-    "robustness": lambda c: (2 * c["trials"] * c["c0_grid"], 0),
-    "scan-periodic": lambda c: (_periodic_point_count(c["k"], c["max_period"]), 0),
-    "lyap": lambda c: (c["samples"], 0),
+    "section": lambda c: {
+        "evals": c["restarts"] * (c["iterations"] + c["k"]) * c["grid"] + 2 * c["grid"],
+        "product_steps": c["grid"] * c["direction_steps"]},
+    "degree": lambda c: {"evals": 2 * c["grid"]},
+    "bunching": lambda c: {"evals": c["grid"]},
+    "robustness": lambda c: {"evals": 2 * c["trials"] * c["c0_grid"]},
+    # the traced circle.points of scan-periodic is the length of periodic_points' result
+    "scan-periodic": lambda c: {"evals": _periodic_point_count(c["k"], c["max_period"]),
+                                "periodic_points": _periodic_point_count(c["k"],
+                                                                         c["max_period"])},
+    "lyap": lambda c: {"evals": c["samples"]},
+    # each pair: its holonomy, then the two inside the equivariance residual, which
+    # runs only after a converged one (every pair converges at the default k = 8)
+    "holonomy": lambda c: {"holonomy_calls": 3 * c["pairs"],
+                           "holonomy_converged": 3 * c["pairs"]},
+    # iota over depth d and over its shift (d - 1), then one step of g
+    "natext": lambda c: {"fiber_steps": c["samples"] * 2 * c["depth"]},
 }
+UNCHECKED = {"holonomy": {"evals"}}
 
 RUNS = [
     ["section", "--grid", "64", "--iterations", "3", "--direction-steps", "32",
@@ -92,6 +123,8 @@ RUNS = [
     ["scan-periodic", "--max-period", "4"],
     ["scan-periodic", "--k", "3", "--max-period", "5"],
     ["lyap", "--steps", "500", "--samples", "3", "--direction-steps", "32"],
+    ["holonomy", "--pairs", "12"],
+    ["natext", "--grid", "512", "--samples", "6", "--depth", "9"],
 ]
 
 
@@ -111,13 +144,35 @@ def test_counted_calls_match_the_config(args, counted, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main([*args, "--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
-    want_evals, want_steps = EXPECTED[args[0]](config)
-    assert (counted["evals"], counted["product_steps"]) == (want_evals, want_steps)
-    # the traced circle.points of scan-periodic is the length of periodic_points' result
-    want_points = (_periodic_point_count(config["k"], config["max_period"])
-                   if args[0] == "scan-periodic" else 0)
-    assert counted["periodic_points"] == want_points
+    want = {name: 0 for name in counted if name not in UNCHECKED.get(args[0], ())}
+    want.update(EXPECTED[args[0]](config))
+    assert {name: counted[name] for name in want} == want
 
+
+# every entry point bench/tracer.py counts, as module.name or module.Class.method
+TRACED_ENTRY_POINTS = [
+    "cli.main", "reports.dump_report", "reports.write_csv", "circle.periodic_points",
+    "circle.orbit_from_digits", "circle.BackwardItinerary.points",
+    "cocycle.lyapunov_norm_growth", "cocycle.lyapunov_furstenberg", "cocycle.cocycle_product",
+    "cocycle.evaluate", "cocycle.oseledets_stable_direction", "sl2.Mat2.__post_init__",
+    "sl2._svd_raw", "sections.stable_direction_loop", "sections.section_consistency_search",
+    "sections.section_residual", "sections.winding_number", "holonomy.u_holonomy",
+    "natext.NatExtRealization.fiber_step",
+]
+
+
+@pytest.mark.parametrize("name", TRACED_ENTRY_POINTS)
+def test_traced_entry_point_is_a_plain_function(name):
+    """The trace wraps a module's own plain functions (and the methods named in
+    its class), so a cache or decorator object in that place would count 0."""
+    module, *path = name.split(".")
+    mod = importlib.import_module(f"cocyclelab.{module}")
+    if len(path) == 2:
+        fn = vars(getattr(mod, path[0]))[path[1]]
+    else:
+        fn = vars(mod)[path[0]]
+        assert fn.__module__ == mod.__name__
+    assert inspect.isfunction(fn)
 
 
 def test_counted_calls_hold_with_a_warm_ladder_cache(counted, tmp_path, monkeypatch):
@@ -132,7 +187,7 @@ def test_counted_calls_hold_with_a_warm_ladder_cache(counted, tmp_path, monkeypa
         out = tmp_path / f"report{run}.json"
         assert main([*RUNS[0], "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        totals.append((counted["evals"], counted["product_steps"]))
+        totals.append({"evals": counted["evals"], "product_steps": counted["product_steps"]})
         results.append(report["results"])
     assert cocycle._ladder.cache_info().hits > 0
     assert totals[0] == totals[1] == EXPECTED["section"](report["config"])

@@ -14,6 +14,7 @@ from cocyclelab import (
     LeafMismatchError,
     Mat2,
     NumericOverflowError,
+    full_twist_spec,
     holonomy_equivariance_residual,
     u_holonomy,
 )
@@ -98,6 +99,34 @@ def test_rejects_shallow_itineraries_and_bad_tol():
         u_holonomy(spec, m, x_it, y_it, tol=0.0, max_depth=10)
     res = u_holonomy(spec, m, x_it, y_it, max_depth=10)
     assert res.depth_used <= 10
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_depth": 0},  # was an IndexError at residuals[-1]
+    {"max_depth": -3},  # likewise
+    {"max_depth": 2.5},  # was a TypeError from range
+    {"max_depth": True},
+    {"tol": math.inf},  # was accepted, "converging" at depth 1
+    {"tol": math.nan},
+    {"tol": "1e-8"},
+], ids=repr)
+def test_rejects_malformed_depth_and_tol(kwargs, monkeypatch):
+    spec, m = example_spec(), example_map()
+    x_it, y_it = leaf_pair(8, 5)
+    monkeypatch.setattr(holonomy, "_last", None)
+    u_holonomy(spec, m, x_it, y_it)
+    # checked before the memory of the call just made is consulted
+    with pytest.raises(ValueError):
+        u_holonomy(spec, m, x_it, y_it, **kwargs)
+
+
+def test_accepts_integral_depth_and_int_tol():
+    spec, m = example_spec(), example_map()
+    x_it, y_it = leaf_pair(8, 5)
+    want = u_holonomy(spec, m, x_it, y_it, tol=1e-8, max_depth=60)
+    got = u_holonomy(spec, m, x_it, y_it, tol=1, max_depth=np.int64(60))
+    assert got.depth_used <= want.depth_used
+    assert u_holonomy(spec, m, x_it, y_it, max_depth=60.0) == want
 
 
 # -- agreement with the direct product -----------------------------------------
@@ -296,3 +325,101 @@ def test_equivariance_raises_on_a_non_finite_residual(monkeypatch):
     monkeypatch.setattr(holonomy, "u_holonomy", lambda *args, **kwargs: huge)
     with pytest.raises(NumericOverflowError):
         holonomy_equivariance_residual(spec, m, x_it, y_it)
+
+
+# -- the memory of the latest call ------------------------------------------------
+
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """The pairs u_holonomy walks from here on, starting with an empty memory."""
+    walked, walk = [], holonomy._walk
+    monkeypatch.setattr(holonomy, "_last", None)
+
+    def counted(spec, m, x_it, y_it, tol, max_depth):
+        walked.append((x_it, y_it))
+        return walk(spec, m, x_it, y_it, tol, max_depth)
+
+    monkeypatch.setattr(holonomy, "_walk", counted)
+    return walked
+
+
+def _bits(res) -> tuple:
+    return result_bits((res.h, res.depth_used, res.cauchy_residual, res.converged,
+                        res.residuals))
+
+
+def test_a_repeated_call_returns_the_walked_result(walks):
+    spec, m = example_spec(), example_map()
+    x_it, y_it = leaf_pair(8, 21)
+    first = u_holonomy(spec, m, x_it, y_it)
+    again = u_holonomy(spec, m, x_it, y_it)
+    assert again is first and walks == [(x_it, y_it)]
+    assert _bits(again) == result_bits(reference_holonomy(spec, m, x_it, y_it))
+    # other tol or max_depth: walked afresh
+    u_holonomy(spec, m, x_it, y_it, tol=1e-9)
+    u_holonomy(spec, m, x_it, y_it, tol=1e-9, max_depth=59)
+    assert len(walks) == 3
+
+
+def test_the_equivariance_check_reuses_its_callers_holonomy(walks):
+    """As cmd_holonomy calls it: the residual's h_{x,y} is the caller's result
+    and only the forward pair is walked, with the bits of a cold memory."""
+    spec, m = example_spec(), example_map()
+    x_it, y_it = leaf_pair(8, 31)
+    cold = holonomy_equivariance_residual(spec, m, x_it, y_it)
+    assert len(walks) == 2
+    holonomy._last = None
+    walks.clear()
+    u_holonomy(spec, m, x_it, y_it)
+    warm = holonomy_equivariance_residual(spec, m, x_it, y_it)
+    assert len(walks) == 2 and walks[0] == (x_it, y_it) and walks[1][0] is not x_it
+    assert warm.hex() == cold.hex()
+
+
+def test_memory_holds_only_the_latest_call(walks):
+    spec, m = example_spec(), example_map()
+    here, other = leaf_pair(8, 22), leaf_pair(8, 23)
+    results = [u_holonomy(spec, m, *pair) for pair in (here, other, here)]
+    assert walks == [here, other, here]
+    assert results[2] is not results[0]
+    for res, pair in zip(results, (here, other, here)):
+        assert _bits(res) == result_bits(reference_holonomy(spec, m, *pair))
+
+
+def test_memory_matches_objects_not_equal_values(walks):
+    """An equal but distinct spec (a -0.0 base entry) or itinerary is walked
+    afresh: the memory compares by identity, so the sign of a zero cannot
+    pass from one spec to the other."""
+    m = example_map()
+    spec = full_twist_spec(Mat2(2.0, 0.0, 0.0, 0.5))
+    signed = full_twist_spec(Mat2(2.0, -0.0, 0.0, 0.5))
+    assert signed == spec and signed is not spec
+    assert math.copysign(1.0, signed.base.b) == -1.0
+    x_it, y_it = leaf_pair(8, 24)
+    u_holonomy(spec, m, x_it, y_it)
+    res = u_holonomy(signed, m, x_it, y_it)
+    assert len(walks) == 2
+    assert _bits(res) == result_bits(reference_holonomy(signed, m, x_it, y_it))
+    twin = BackwardItinerary(8, y_it.x0, y_it.digits)
+    assert twin == y_it and twin is not y_it
+    u_holonomy(signed, m, x_it, twin)
+    assert len(walks) == 3
+
+
+def test_a_call_that_raises_leaves_nothing_behind(walks, monkeypatch):
+    spec, m = example_spec(), example_map()
+    x_it, y_it = leaf_pair(8, 25)
+    u_holonomy(spec, m, x_it, y_it)
+    assert holonomy._last is not None
+    # a leaf check fails before the walk
+    far = BackwardItinerary(8, (x_it.x0 + 0.3) % 1.0, x_it.digits)
+    with pytest.raises(LeafMismatchError):
+        u_holonomy(spec, m, x_it, far)
+    assert holonomy._last is None
+    # the walk itself fails, and fails again when the call is repeated
+    monkeypatch.setattr(holonomy, "_s_max", lambda *entries: math.nan)
+    for _ in range(2):
+        with pytest.raises(NumericOverflowError):
+            u_holonomy(spec, m, x_it, y_it)
+        assert holonomy._last is None
+    assert len(walks) == 3
