@@ -25,7 +25,7 @@ import numpy as np
 
 from .circle import ExpandingMap, _orbit, orbit_from_digits, window_width
 from .errors import NoHyperbolicityError, NumericOverflowError, _integral, _real
-from .sl2 import Mat2, ProjPoint, _mul, _mul_stacked, _s_max, _svd_raw, op_norm
+from .sl2 import Mat2, ProjPoint, _cos_sin, _mul, _mul_stacked, _s_max, _svd_raw, op_norm
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -274,9 +274,8 @@ def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
     """TWO_PI * g(x) over an array or at a float, with CocycleSpec.twist's bits."""
     if not spec._plan:
         return TWO_PI * (spec.winding * xs)
-    trig = math if isinstance(xs, float) else np
     a = TWO_PI * xs
-    c, s = trig.cos(a), trig.sin(a)
+    c, s = (math.cos(a), math.sin(a)) if isinstance(xs, float) else _cos_sin(a)
     del a
     # _trig_sum, a block's peak on a twist with terms, runs with a freed and
     # before winding * xs is formed; addition commutes, so the bits hold
@@ -291,11 +290,11 @@ def _entries(spec: CocycleSpec, xs: np.ndarray):
     """The entries (a, b, c, d) of A(x) = base . R(2 pi g(x)) over an array xs.
 
     At a float x (a numpy float64 too) they are floats from math.cos and math.sin,
-    which give np.cos's and np.sin's bits: an array element's, and evaluate's.
+    which give np.cos's and np.sin's bits: an array element's (sl2._cos_sin's), and
+    evaluate's.
     """
-    trig = math if isinstance(xs, float) else np
     ang = _angles(spec, xs)
-    cs, sn = trig.cos(ang), trig.sin(ang)
+    cs, sn = (math.cos(ang), math.sin(ang)) if isinstance(xs, float) else _cos_sin(ang)
     del ang  # one array fewer while the entries are built, a norm-growth block's peak
     b = spec.base
     # evaluate's _mul(b.a, b.b, b.c, b.d, cs, -sn, sn, cs) in place, with its bits
@@ -385,35 +384,42 @@ def _reduce(ea, eb, ec, ed, every: int):
 def _first_level(ea, eb, ec, ed, every: int):
     """_reduce's first level: the four entry arrays into one (2, 2, ...) stack of
     pair products (empty for n = 1) and their logs, never copying the entries
-    into a full-size stack.  Call it under _reduce's errstate."""
+    into a full-size stack.  Before the first pull every log is 0, and logs is
+    None.  Call it under _reduce's errstate."""
     n = ea.shape[-1]
     h = n & ~1
     m = np.array(_mul(ea[..., 1:h:2], eb[..., 1:h:2], ec[..., 1:h:2], ed[..., 1:h:2],
                       ea[..., :h:2], eb[..., :h:2], ec[..., :h:2], ed[..., :h:2]))
     m = m.reshape((2, 2) + m.shape[1:])
-    logs = _pull(m) if every == 1 or n == 2 else np.zeros(m.shape[2:])
+    # n <= 2 is the root's level; at n = 1 it pulls no pair and gives the logs' shape
+    logs = _pull(m) if every == 1 or n <= 2 else None
     if h < n:
         last = np.array(((ea[..., -1:], eb[..., -1:]), (ec[..., -1:], ed[..., -1:])))
         m = np.concatenate((m, last), axis=-1)
-        logs = np.concatenate((logs, np.zeros(logs.shape[:-1] + (1,))), axis=-1)
+        if logs is not None:
+            logs = np.concatenate((logs, np.zeros(logs.shape[:-1] + (1,))), axis=-1)
     return m, logs
 
 
 def _levels(m, logs, every: int, level: int = 1, width: int = 1):
     """_reduce's later levels on the stack m after its level-th, until it holds
-    at most width matrices along the last axis; returns (m, logs, level).
-    Call it under _reduce's errstate."""
+    at most width matrices along the last axis; returns (m, logs, level), logs
+    None until the first pull, as _first_level's.  Call it under _reduce's
+    errstate."""
     while m.shape[-1] > width:
         n = m.shape[-1]
         h = n & ~1
         level += 1
         p = _mul_stacked(m[..., 1:h:2], m[..., :h:2])
-        level_log = logs[..., 1:h:2] + logs[..., :h:2]
+        level_log = None if logs is None else logs[..., 1:h:2] + logs[..., :h:2]
         if level % every == 0 or n == 2:
-            level_log += _pull(p)
+            pulled = _pull(p)  # with no logs yet, 0 + pulled: its bits, as no log is -0.0
+            level_log = pulled if level_log is None else np.add(level_log, pulled, out=level_log)
         if h < n:
             p = np.concatenate((p, m[..., -1:]), axis=-1)
-            level_log = np.concatenate((level_log, logs[..., -1:]), axis=-1)
+            if level_log is not None:
+                last = np.zeros(level_log.shape[:-1] + (1,)) if logs is None else logs[..., -1:]
+                level_log = np.concatenate((level_log, last), axis=-1)
         m, logs = p, level_log
     return m, logs, level
 
@@ -628,9 +634,10 @@ def _block_products(spec: CocycleSpec, k: int, digits: np.ndarray, start: int, s
         batch = range(lo, min(lo + _BATCH * _BLOCK, tail), _BLOCK)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for j, b in enumerate(batch):
-                m[:, :, j], logs[j], level = _levels(
+                m[:, :, j], wide_logs, level = _levels(
                     *_first_level(*_entries(spec, _orbit(k, digits[:, b:], _BLOCK)), every),
                     every, width=_NARROW)
+                logs[j] = 0.0 if wide_logs is None else wide_logs
             narrow, narrow_logs, _ = _levels(m[:, :, :len(batch)], logs[:len(batch)], every, level)
             root = _root(narrow, narrow_logs)
         yield from zip(*root)

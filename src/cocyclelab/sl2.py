@@ -16,6 +16,8 @@ rule on them is written once, here, on floats or arrays: the wrap
 min(|p - q|, pi - |p - q|) (_dist) and the angles of M (cos t, sin t)
 over a stream of entry tuples (_pushed_angles, math.atan2 per point).
 ProjPoint is the validated scalar type; loops carry plain float arrays.
+Array cos and sin of orbit angles go through _cos_sin, which gives numpy's
+bits in octant order.
 """
 
 from __future__ import annotations
@@ -133,6 +135,32 @@ def _dist(p, q):
     """Projective metric min(|p - q|, pi - |p - q|); bounded by pi/2."""
     d = abs(p - q)
     return np.minimum(d, PI - d)
+
+
+def _cos_sin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(np.cos(t), np.sin(t)) with their bits, evaluated one octant at a time.
+
+    libm's cos and sin branch on the argument's range, and on angles in orbit
+    order, which is random, those branches mispredict; an element's value does
+    not depend on the order the elements are evaluated in.  So the angles are
+    keyed by octant, 4 t / pi cast to uint8 mod 8, taken in key order by a
+    stable counting sort, and the values scattered back.  The key only orders
+    the work: the cast of a negative, huge or non-finite angle, which varies by
+    platform, moves no bit and warns of nothing.  The outputs are new arrays of
+    t's shape; t is not modified.
+    """
+    with np.errstate(invalid="ignore"):
+        key = (t * (4.0 / PI)).astype(np.uint8)
+    key &= 7
+    order = np.argsort(key, axis=None, kind="stable")
+    del key
+    ts = t.take(order)
+    sn = np.sin(ts)
+    np.cos(ts, out=ts)
+    c = np.empty_like(ts)
+    c[order] = ts
+    ts[order] = sn  # the cosines are in c, so ts takes the sines
+    return c.reshape(t.shape), ts.reshape(t.shape)
 
 
 def _pushed_angles(entries, ts) -> np.ndarray:

@@ -50,8 +50,10 @@ from cocyclelab.cocycle import (
     DEFAULT_SEED,
     _angles,
     _entries,
+    _first_level,
     _keep_heap_resident,
     _ladder,
+    _levels,
     _block_products,
     _mean_stderr,
     _norm_growth_group,
@@ -64,7 +66,7 @@ from cocyclelab.cocycle import (
     _trig_sum,
 )
 from cocyclelab.errors import NumericOverflowError
-from cocyclelab.sl2 import _mul, _mul_stacked, _s_max
+from cocyclelab.sl2 import _cos_sin, _mul, _mul_stacked, _s_max
 
 TWO_PI = 2.0 * math.pi
 # pull schedules the product kernels are held to: a pull at every tree level
@@ -325,18 +327,36 @@ def ill_conditioned_spec() -> CocycleSpec:
     return CocycleSpec(base=rotation(0.3) @ Mat2.diagonal(1e4) @ rotation(0.7), winding=1)
 
 
-@pytest.mark.parametrize("spec", [example_spec(), twisted_spec(), ill_conditioned_spec()],
-                         ids=["example", "perturbed", "ill-conditioned"])
+def wide_twist_spec() -> CocycleSpec:
+    """Winding -3 and a large-amplitude term: angles 2 pi g(x) negative and spread
+    over about twelve turns, so over every octant many times."""
+    return CocycleSpec(base=BASE, winding=-3, terms=(TwistTerm(2, 4.5, 0.4),
+                                                     TwistTerm(5, -0.3, 2.0)))
+
+
+def orbit_block(k: int = 8) -> np.ndarray:
+    """A (4, _BLOCK) orbit block as norm growth reads one: a row per sample."""
+    digits = np.random.default_rng(14).integers(0, k, size=(4, _BLOCK + window_width(k)))
+    return _orbit(k, digits, _BLOCK)
+
+
+@pytest.mark.parametrize("spec", [example_spec(), twisted_spec(), ill_conditioned_spec(),
+                                  wide_twist_spec()],
+                         ids=["example", "perturbed", "ill-conditioned", "wide-twist"])
 def test_entries_match_evaluate_bitwise(spec):
     """Scalar and array evaluation return the same entries, in hex so that the
     sign of a zero counts: evaluate adds no renormalization of its own, even
-    where det drifts past DET_TOL, and _entries' in-place sums are _mul's."""
-    xs = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
-                         np.random.default_rng(13).random(2000)])
-    ea, eb, ec, ed = _entries(spec, xs)
-    for j, x in enumerate(map(float, xs)):
-        want = [v.hex() for v in evaluate(spec, x)]
-        assert [float(e[j]).hex() for e in (ea, eb, ec, ed)] == want
+    where det drifts past DET_TOL, and _entries' in-place sums are _mul's.  On
+    uniform points and on a (4, _BLOCK) orbit block as norm growth reads it."""
+    uniform = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
+                              np.random.default_rng(13).random(2000)])
+    for xs in (uniform, orbit_block()):
+        entries = _entries(spec, xs)
+        assert [e.shape for e in entries] == [xs.shape] * 4
+        got = [e.ravel().tolist() for e in entries]
+        for j, x in enumerate(xs.ravel().tolist()):
+            want = [v.hex() for v in evaluate(spec, x)]
+            assert [e[j].hex() for e in got] == want
 
 
 def test_twist_lipschitz_bounds_numeric_slope():
@@ -682,6 +702,20 @@ def test_reductions_follow_the_pull_schedule_bitwise(every):
         assert hex_bits(_reduce_short(as_tuples(entries), every)) == want, n
 
 
+def test_levels_carry_no_logs_before_the_first_pull():
+    """Every log is 0 until the first pull, so _first_level and _levels carry
+    none until then, with the bits of carrying zeros."""
+    entries = _entries(example_spec(), np.random.default_rng(24).random((4, 4095)))
+    m, logs = _first_level(*entries, 8)
+    assert logs is None and m.shape == (2, 2, 4, 2048)
+    wide, logs, level = _levels(m, logs, 8, width=64)
+    assert logs is None and level == 6 and wide.shape == (2, 2, 4, 64)
+    for width in (16, 1):  # the first pull at level 8, and the root
+        got = _levels(m, None, 8, width=width)
+        want = _levels(m, np.zeros((4, 2048)), 8, width=width)
+        assert got[2] == want[2] and hex_bits(got[:2]) == hex_bits(want[:2])
+
+
 # (sup norm, pull period): each threshold of _pull_period and the next float up
 PULL_PERIODS = [(1.0, 8), (math.sqrt(2.0), 8), (2.0, 8), (np.nextafter(2.0, 3.0), 7),
                 (4.0, 7), (np.nextafter(4.0, 5.0), 6), (16.0, 6), (256.0, 5), (2.0**16, 4),
@@ -836,24 +870,84 @@ def test_entries_at_a_float_are_evaluates_floats():
                 assert [v.hex() for v in got] == want
 
 
+def trig_inputs() -> np.ndarray:
+    """Angles in [0, 2 pi), up to +-1e6, signed zeros and subnormals."""
+    rng = np.random.default_rng(29)
+    subnormal = rng.integers(1, 2**52, size=2000).view(np.float64)
+    return np.concatenate([rng.uniform(0.0, TWO_PI, size=20000),
+                           rng.uniform(-1e6, 1e6, size=5000), [1e6, -1e6, 0.0, -0.0],
+                           subnormal, -subnormal])
+
+
 def test_numpy_cos_and_sin_are_math_bitwise():
     """np.cos and np.sin on float64 arrays give math.cos's and math.sin's bits.
 
-    Code that relies on it: evaluate (math) and _entries (numpy) must agree,
-    _entries' float path takes math.cos and math.sin for numpy's bits, and
-    sl2._pushed_angles takes cos and sin of its angles from numpy for math's.
+    Code that relies on it: evaluate (math) and _entries (sl2._cos_sin, which
+    returns np.cos's and np.sin's bits) must agree, _entries' float path takes
+    math.cos and math.sin for numpy's bits, and sl2._pushed_angles takes cos
+    and sin of its angles from numpy for math's.
     """
-    rng = np.random.default_rng(29)
-    subnormal = rng.integers(1, 2**52, size=2000).view(np.float64)
-    xs = np.concatenate([rng.uniform(0.0, TWO_PI, size=20000),
-                         rng.uniform(-1e6, 1e6, size=5000), [1e6, -1e6, 0.0, -0.0],
-                         subnormal, -subnormal])
+    xs = trig_inputs()
     for np_f, math_f in ((np.cos, math.cos), (np.sin, math.sin)):
         got = np_f(xs)
         bad = [x for x, v in zip(xs.tolist(), got.tolist()) if v.hex() != math_f(x).hex()]
         assert not bad, (f"np.{np_f.__name__} differs from math.{math_f.__name__} at "
                          f"{len(bad)} points, first {bad[0]!r}: evaluate and _entries, "
                          "_entries' float path and sl2._pushed_angles rely on their bits")
+
+
+def cos_sin_cases():
+    xs = trig_inputs()
+    block = TWO_PI * orbit_block()
+    return {
+        "premise-inputs": xs,
+        "block": block,
+        "size-1": xs[:1].copy(),
+        "odd": xs[:4097].copy(),
+        "empty": xs[:0].copy(),
+        "transposed": block.T,
+        "strided": block[:, 1::3],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(cos_sin_cases()))
+def test_cos_sin_is_numpy_bitwise(case):
+    """_cos_sin takes the angles in octant order and returns np.cos's and np.sin's
+    bits in the input's shape and order, in new arrays, leaving t unmodified."""
+    t = cos_sin_cases()[case]
+    before = t.copy()
+    c, s = _cos_sin(t)
+    for got, want in ((c, np.cos(t)), (s, np.sin(t))):
+        assert got.shape == t.shape and got.dtype == np.float64
+        assert hex_bits([got]) == hex_bits([want])
+        assert not np.shares_memory(got, t)
+    assert not np.shares_memory(c, s)
+    assert hex_bits([t]) == hex_bits([before])
+
+
+@pytest.mark.parametrize("special", [[math.nan], [math.inf], [-math.inf],
+                                     [math.nan, 1.0, -math.inf, -0.0, math.inf, 7.5]],
+                         ids=["nan", "inf", "-inf", "mixed"])
+def test_cos_sin_of_non_finite_angles_warns_only_as_numpy_does(special):
+    """A NaN or infinite angle casts to an invalid key; building it must warn of
+    nothing, so _cos_sin warns exactly as np.cos and np.sin do (of an infinity,
+    not of a NaN) and gives their bits."""
+    t = np.array(special)
+
+    def run(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = f(t)
+        return out, sorted(str(w.message) for w in caught)
+
+    (c, s), got = run(_cos_sin)
+    (c0, s0), want = run(lambda t: (np.cos(t), np.sin(t)))
+    assert got == want
+    assert hex_bits([c, s]) == hex_bits([c0, s0])
+    if not np.isinf(t).any():  # as under -W error::RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _cos_sin(t)
 
 
 # -- norm-growth estimator ----------------------------------------------------
@@ -1065,6 +1159,22 @@ def test_norm_growth_pinned_regression():
                                n_samples=32, seed=(DEFAULT_SEED, 0))
     assert est.value == pytest.approx(0.22356619697188698, abs=1e-12)
     assert est.std_error == pytest.approx(0.0002651262274570716, abs=1e-12)
+
+
+def test_norm_growth_pinned_bits():
+    """lyap's norm growth at its defaults and one 8-term perturb trial at k = 3
+    (robustness_k3's trial 0), in hex: a change that reorders work without
+    moving a bit must keep these."""
+    est = lyapunov_norm_growth(example_spec(), example_map(8), n_steps=100_000,
+                               n_samples=32, seed=(DEFAULT_SEED, 0))
+    assert (est.value.hex(), est.std_error.hex()) == ("0x1.c9dd1303e1fc0p-3",
+                                                      "0x1.1601479eace8cp-12")
+    spec = perturb(example_spec(), 0.05, seed=(DEFAULT_SEED, 1, 0))
+    assert len(spec.terms) == 8
+    est = lyapunov_norm_growth(spec, ExpandingMap(3), n_steps=10_000, n_samples=8,
+                               seed=(DEFAULT_SEED, 1, 1))
+    assert (est.value.hex(), est.std_error.hex()) == ("0x1.ce7280a67cbd1p-3",
+                                                      "0x1.cbd8cbaad5ecfp-10")
 
 
 def test_norm_growth_pulled_at_every_level_keeps_the_old_bits():

@@ -315,23 +315,30 @@ def test_slots_check_sees_the_value_types():
     assert {"Mat2", "ProjPoint"} <= set(_frozen_dataclasses(MODULES["sl2.py"]))
 
 
-def _per_term_trig(tree: ast.AST) -> list[str]:
-    """Functions, by qualified name, that call sin or cos on an argument reading .freq."""
+def _scoped(tree: ast.AST, match) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function or class, line) of each node that
+    match accepts; nodes at module level have the scope ''."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        elif (isinstance(node, ast.Call)
-              and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sin", "cos")
-              and any(isinstance(n, ast.Attribute) and n.attr == "freq"
-                      for arg in node.args for n in ast.walk(arg))):
-            found.append(scope)
+        elif match(node):
+            found.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, "")
     return found
+
+
+def _per_term_trig(tree: ast.AST) -> list[str]:
+    """Functions, by qualified name, that call sin or cos on an argument reading .freq."""
+    return [scope for scope, _ in _scoped(tree, lambda node: (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sin", "cos")
+        and any(isinstance(n, ast.Attribute) and n.attr == "freq"
+                for arg in node.args for n in ast.walk(arg))))]
 
 
 # holonomy's g(x + delta) - g(x) needs its relative accuracy in delta, term by term
@@ -392,3 +399,45 @@ def test_coercion_check_sees_a_truncated_digit():
         "        object.__setattr__(self, 'digits', digits)\n"
     )
     assert _coercions_in_post_init(ast.parse(truncating)) == ["BackwardItinerary:5"]
+
+
+def _array_trig(tree: ast.AST) -> list[tuple[str, int]]:
+    """(scope, line) of each cos or sin named other than as math.cos or math.sin:
+    np.cos, a bare cos imported from numpy, or trig.sin on a module chosen at run time."""
+    return _scoped(tree, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr in ("cos", "sin")
+         and not (isinstance(node.value, ast.Name) and node.value.id == "math"))
+        or (isinstance(node, ast.Name) and node.id in ("cos", "sin"))))
+
+
+# sl2._cos_sin evaluates array cos and sin octant by octant.  _pushed_angles keeps
+# np.cos and np.sin: a section's angles follow its grid, so their libm branches
+# already predict, and the helper's sort read slower there.
+ARRAY_TRIG_ALLOWED = {("sl2.py", "_cos_sin"), ("sl2.py", "_pushed_angles")}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_array_cos_and_sin_go_through_cos_sin(name):
+    # np.cos and np.sin on orbit-ordered angles mispredict libm's range branches;
+    # sl2._cos_sin takes them in octant order with the same bits
+    lines = [f"{scope}:{line}" for scope, line in _array_trig(MODULES[name])
+             if (name, scope) not in ARRAY_TRIG_ALLOWED]
+    assert not lines, f"{name}: array cos or sin at {lines}; use sl2._cos_sin"
+
+
+def test_array_trig_check_sees_an_inline_cos():
+    # the check must flag the _entries that called np.cos itself, a module picked at
+    # run time and a bare imported sin, pass math's, and find the helper sl2 holds,
+    # or it checks nothing
+    inline_entries = (
+        "def _entries(spec, xs):\n"
+        "    ang = _angles(spec, xs)\n"
+        "    cs = np.cos(ang)\n"
+        "    trig = math if isinstance(xs, float) else np\n"
+        "    sn = trig.sin(ang)\n"
+        "    return cs, sn, sin(ang), math.cos(ang)\n"
+    )
+    assert _array_trig(ast.parse(inline_entries)) == [("_entries", 3), ("_entries", 5),
+                                                       ("_entries", 6)]
+    assert {scope for scope, _ in _array_trig(MODULES["sl2.py"])} == {
+        scope for name, scope in ARRAY_TRIG_ALLOWED if name == "sl2.py"}
