@@ -15,14 +15,16 @@ import statistics
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .circle import MAX_STREAM_K, ExpandingMap, BackwardItinerary, periodic_orbits
 from .cocycle import (
     DEFAULT_SEED,
     CocycleSpec,
     TwistTerm,
+    _evaluated_entries,
     c0_distance,
-    evaluate,
     full_twist_spec,
     lyapunov_furstenberg,
     lyapunov_norm_growth,
@@ -98,7 +100,7 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "degree": ("twist degree and the section obstruction", {"grid": (4096, None)}),
     "section": ("search for an invariant projective section", {
         "grid": (4096, None), "iterations": (40, None), "direction_steps": (256, None),
-        "restarts": (4, "independent jittered searches")}),
+        "restarts": (4, "searches: the first from the stable directions, the rest jittered")}),
     "natext": ("smooth natural-extension realization checks", {
         "grid": (4096, "grid certifying the separation constant"),
         "samples": (200, "random itineraries for the conjugacy check"),
@@ -369,22 +371,29 @@ def cmd_scan_periodic(cfg, spec, map_):
         period = block.shape[1]
         n_points += block.size
         # numerators and denom are below 2^53, so each quotient has int/int's bits
-        for least, orbit in zip(block[:, 0].tolist(), (block / denom).tolist()):
-            # raw entries, not Mat2: its sqrt(det) rescaling is cancellation noise for large factors
-            a, b, c, d = 1.0, 0.0, 0.0, 1.0
-            for x in orbit:
-                a, b, c, d = _mul(*evaluate(spec, x), a, b, c, d)
-            trace = a + d
-            representative = _fraction_str(least, denom)
-            if not math.isfinite(trace):  # a non-finite entry reaches a or d
-                raise NumericOverflowError(f"orbit product at {representative} left float range")
-            hyp = abs(trace) > 2.0 + cfg["tol"]
-            n_hyp += hyp
-            entry = {"period": period, "representative": representative,
+        orbits = block / denom
+        ea, eb, ec, ed = _evaluated_entries(spec, orbits)
+        # raw entries, not Mat2: its sqrt(det) rescaling is cancellation noise for large
+        # factors; column by column from the identity, each orbit's float fold bitwise
+        m = len(block)
+        a, b, c, d = np.ones(m), np.zeros(m), np.zeros(m), np.ones(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(period):
+                a, b, c, d = _mul(ea[:, j], eb[:, j], ec[:, j], ed[:, j], a, b, c, d)
+            traces = a + d
+        overflowed = np.flatnonzero(~np.isfinite(traces))  # a non-finite entry reaches a or d
+        if overflowed.size:
+            representative = _fraction_str(int(block[overflowed[0], 0]), denom)
+            raise NumericOverflowError(f"orbit product at {representative} left float range")
+        hyperbolic = np.abs(traces) > 2.0 + cfg["tol"]
+        n_hyp += int(np.count_nonzero(hyperbolic))
+        for least, x, trace, hyp in zip(block[:, 0].tolist(), orbits[:, 0].tolist(),
+                                        traces.tolist(), hyperbolic.tolist()):
+            entry = {"period": period, "representative": _fraction_str(least, denom),
                      "trace": trace, "hyperbolic": hyp}
             table.append(entry)
             if hyp and witness is None:
-                witness = dict(entry, x_float=orbit[0])
+                witness = dict(entry, x_float=x)
     results = {
         "max_period": cfg["max_period"],
         "n_points": n_points,

@@ -8,9 +8,12 @@ only non-deterministic content.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.resources
 import json
+import os
+import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -44,13 +47,28 @@ def dump_report(report: dict, path: str | None) -> None:
     """The report as key-sorted, indented JSON and a newline, to path or stdout.
 
     json.dump writes the text chunk by chunk, so the whole text is never held:
-    json.dumps would build it at several times its size first.
+    json.dumps would build it at several times its size first.  A file is
+    written beside path under a temporary name and renamed over path when
+    complete, so a dump that raises leaves path as it was and no
+    temporary file behind.  A symbolic link at path is followed, so the
+    report replaces the file it names and the link stays; the replaced
+    file's mode is kept.
     """
     if path is None:
         _write_report(report, sys.stdout)
-    else:
-        with open(path, "w") as f:
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "w")
+    try:
+        with f:
             _write_report(report, f)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)  # a rewritten report keeps its file's mode
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_report(report: dict, f) -> None:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
 from .circle import ExpandingMap
-from .cocycle import CocycleSpec, evaluate, oseledets_stable_direction, rng_from
+from .cocycle import CocycleSpec, _evaluated_entries, oseledets_stable_direction, rng_from
 from .errors import DegreeCheckError, NoHyperbolicityError, ResolutionError
 from .sl2 import PI, _arc, _dist, _pushed_angles, _wrap
 
@@ -83,8 +82,7 @@ def winding_number(loop: ProjectiveLoop) -> int:
 
 def _push(spec: CocycleSpec, xs: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Angles of A(x) v(t) in [0, pi), one per point (x, t) of xs and angles in [0, pi)."""
-    entries = map(evaluate, repeat(spec), xs.tolist())  # one evaluate per point, as it is read
-    return _wrap(_pushed_angles(entries, angles))
+    return _wrap(_pushed_angles(*_evaluated_entries(spec, xs), angles))
 
 
 def _action_loop(spec: CocycleSpec, angle: float, grid_n: int) -> ProjectiveLoop:

@@ -14,7 +14,7 @@ cocycle._reduce only.  Directions in RP^1 are angles in [0, pi); each
 rule on them is written once, here, on floats or arrays: the wrap
 (_wrap), the signed shorter-arc step (_arc), the metric
 min(|p - q|, pi - |p - q|) (_dist) and the angles of M (cos t, sin t)
-over a stream of entry tuples (_pushed_angles, math.atan2 per point).
+over entry and angle arrays (_pushed_angles, one np.arctan2 per call).
 ProjPoint is the validated scalar type; loops carry plain float arrays.
 Array cos and sin of orbit angles go through _cos_sin, which gives numpy's
 bits in octant order.
@@ -163,13 +163,12 @@ def _cos_sin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c.reshape(t.shape), ts.reshape(t.shape)
 
 
-def _pushed_angles(entries, ts) -> np.ndarray:
-    """atan2 of [[a, b], [c, d]] (cos t, sin t), before wrapping, per entry tuple and
-    angle; entries (a generator, say) is read first, so once per t of an equal-length ts.
-    cos and sin of all ts take one numpy call each, with math's bits."""
-    return np.fromiter((math.atan2(c * x + d * y, a * x + b * y) for (a, b, c, d), x, y
-                        in zip(entries, np.cos(ts).tolist(), np.sin(ts).tolist())),
-                       np.float64, len(ts))
+def _pushed_angles(a, b, c, d, ts) -> np.ndarray:
+    """arctan2 of [[a, b], [c, d]] (cos t, sin t), before wrapping, elementwise over
+    entry arrays and an angle array of one shape: one numpy call per step, and an
+    element's bits do not depend on the array it sits in."""
+    x, y = np.cos(ts), np.sin(ts)
+    return np.arctan2(c * x + d * y, a * x + b * y)
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,7 +57,7 @@ def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
 
 def projective_action(m: Mat2, p: ProjPoint) -> ProjPoint:
     """The direction of m v for v in the direction p, by sl2._pushed_angles."""
-    return ProjPoint(_pushed_angles([(m.a, m.b, m.c, m.d)], [p.angle])[0])
+    return ProjPoint(_pushed_angles(m.a, m.b, m.c, m.d, np.array([p.angle]))[0])
 
 
 def sample_unstable_neighbor(it: BackwardItinerary, offset: float) -> BackwardItinerary:

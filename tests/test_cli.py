@@ -320,6 +320,19 @@ def test_scan_periodic_overflow_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
+def test_scan_periodic_overflow_names_the_first_overflowing_orbit(tmp_path, capsys):
+    """The products of period 8 at k = 2 first overflow at 5/255, not at the least
+    orbit 1/255 of the period: the message names the first orbit, in table order,
+    whose trace is not finite."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"base": [[1e39, 0.0], [0.0, 1e-39]], "winding": 1,
+                                     "twist": [{"freq": 1, "amp": 0.2, "phase": 1.0}]}))
+    code, _ = run_cli(["scan-periodic", "--spec", str(spec_file), "--k", "2",
+                       "--max-period", "8"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "numeric failure: orbit product at 1/51 left float range\n"
+
+
 def test_unresolvable_twist_degree_exits_2(tmp_path, capsys):
     """A twist far too fast for the finest grid fails every refinement,
     from the default grid up to 65536 points."""
@@ -526,6 +539,46 @@ def test_dump_report_to_stdout_writes_the_same_text(capsys):
         report = json.load(f)
     dump_report(report, None)
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("previous", [b"previous report\n", None], ids=["over", "new"])
+def test_dump_report_that_raises_leaves_the_file_as_it_was(previous, tmp_path, monkeypatch):
+    # a dump that fails partway must not truncate the previous report, nor leave
+    # its temporary file behind
+    out = tmp_path / "report.json"
+    if previous is not None:
+        out.write_bytes(previous)
+
+    def failing_dump(obj, f, **kwargs):
+        f.write('{"command": "hol')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="no space"):
+        dump_report({"command": "holonomy"}, str(out))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["report.json"])
+    if previous is not None:
+        assert out.read_bytes() == previous
+
+
+def test_dump_report_through_a_symlink_writes_its_target(tmp_path):
+    # the temporary file is renamed over the file the link names, not over the link
+    target = tmp_path / "target.json"
+    target.write_text("previous report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    dump_report({"command": "holonomy"}, str(link))
+    assert link.is_symlink()
+    assert target.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_dump_report_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    out.chmod(0o600)
+    dump_report({"command": "holonomy"}, str(out))
+    assert out.stat().st_mode & 0o777 == 0o600
 
 
 def test_dump_report_streams_instead_of_building_the_text(tmp_path):

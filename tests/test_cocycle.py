@@ -50,6 +50,7 @@ from cocyclelab.cocycle import (
     DEFAULT_SEED,
     _angles,
     _entries,
+    _evaluated_entries,
     _first_level,
     _keep_heap_resident,
     _ladder,
@@ -357,6 +358,23 @@ def test_entries_match_evaluate_bitwise(spec):
         for j, x in enumerate(xs.ravel().tolist()):
             want = [v.hex() for v in evaluate(spec, x)]
             assert [e[j].hex() for e in got] == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["example", "perturbed"])
+def test_evaluated_entries_match_entries_bitwise(k, perturbed):
+    """The grid gather, one evaluate call per point, gives _entries' arrays bit for
+    bit, on an inverse-branch grid and on the same grid as a (rows, k) block."""
+    spec = perturb(example_spec(), 0.05, seed=(9, k)) if perturbed else example_spec()
+    assert len(spec.terms) == (8 if perturbed else 0)
+    n = 1024
+    xs = (np.arange(n) / n + np.random.default_rng([17, k]).integers(0, k, size=n)) / k
+    for grid in (xs, xs[: n - n % k].reshape(-1, k)):
+        got, want = _evaluated_entries(spec, grid), _entries(spec, grid)
+        assert [e.shape for e in got] == [grid.shape] * 4
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_twist_lipschitz_bounds_numeric_slope():

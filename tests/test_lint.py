@@ -180,37 +180,50 @@ def test_sl2_reduction_check_sees_the_wrap():
     assert _angle_reductions(MODULES["sl2.py"])
 
 
-def _arctangents(tree: ast.AST) -> list[int]:
-    """Lines that name atan2 or arctan2, bare or as an attribute (math.atan2, np.arctan2)."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if (isinstance(node, ast.Name) and node.id in ("atan2", "arctan2"))
-                  or (isinstance(node, ast.Attribute) and node.attr in ("atan2", "arctan2")))
+def _named(tree: ast.AST, names: tuple[str, ...]) -> list[tuple[str, int]]:
+    """(scope, line) of each of names named, bare or as an attribute (np.arctan2)."""
+    return _scoped(tree, lambda node: (
+        (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)))
 
 
-@pytest.mark.parametrize("name", [n for n in MODULES if n != "sl2.py"])
+# each arctangent is written in one function: np.arctan2 in the pushed angles,
+# math.atan2 in the SVD angles; np.arctan2 can differ from math.atan2 in the last bit
+ARCTANGENT_HOMES = {"arctan2": ("sl2.py", "_pushed_angles"), "atan2": ("sl2.py", "_svd_raw")}
+
+
+def _misplaced_arctangents(name: str, tree: ast.AST) -> list[str]:
+    """'fn in scope:line' for each atan2 or arctan2 of module name outside its home."""
+    return [f"{fn} in {scope or '<module>'}:{line}" for fn, home in ARCTANGENT_HOMES.items()
+            for scope, line in _named(tree, (fn,)) if (name, scope) != home]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
 def test_only_sl2_takes_angles_by_atan2(name):
-    # pushed angles (sl2._pushed_angles) and SVD angles (sl2._svd_raw) are
-    # written once, in sl2; np.arctan2 can differ from math.atan2 in the last bit
-    lines = _arctangents(MODULES[name])
-    assert not lines, f"{name}: atan2 or arctan2 at lines {lines}; use sl2._pushed_angles"
+    lines = _misplaced_arctangents(name, MODULES[name])
+    assert not lines, f"{name}: {lines}; use sl2._pushed_angles or sl2._svd_raw"
 
 
 def test_atan2_check_sees_an_inline_push():
-    # the check must flag a _push that takes atan2 itself, and the np.arctan2
-    # of an array push, and find the ones sl2 holds, or it checks nothing
-    inline_push = (
+    # the check must flag an arctangent in the other home, an inline push and a
+    # module-level one, and find each home's own, or it checks nothing
+    misplaced = (
         "import math\n"
         "import numpy as np\n"
+        "def _pushed_angles(a, b, c, d, ts):\n"
+        "    return np.arctan2(c, a) + math.atan2(d, b)\n"
+        "def _svd_raw(a, b, c, d):\n"
+        "    return math.atan2(c, a), np.arctan2(d, b)\n"
         "def _push(spec, xs, angles):\n"
-        "    out = []\n"
-        "    for x, t in zip(xs.tolist(), angles.tolist()):\n"
-        "        a, b, c, d = evaluate(spec, x)\n"
-        "        out.append(math.atan2(c * math.cos(t) + d * math.sin(t),\n"
-        "                              a * math.cos(t) + b * math.sin(t)))\n"
-        "    return np.arctan2(np.sin(out), np.cos(out))\n"
+        "    return [math.atan2(y, x) for x, y in zip(xs, angles)]\n"
+        "ZERO = np.arctan2(0.0, 1.0)\n"
     )
-    assert _arctangents(ast.parse(inline_push)) == [7, 9]
-    assert _arctangents(MODULES["sl2.py"])
+    assert _misplaced_arctangents("sl2.py", ast.parse(misplaced)) == [
+        "arctan2 in _svd_raw:6", "arctan2 in <module>:9", "atan2 in _pushed_angles:4",
+        "atan2 in _push:8"]
+    assert len(_misplaced_arctangents("sections.py", ast.parse(misplaced))) == 6
+    assert {fn: {scope for scope, _ in _named(MODULES["sl2.py"], (fn,))}
+            for fn in ARCTANGENT_HOMES} == {"arctan2": {"_pushed_angles"}, "atan2": {"_svd_raw"}}
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -220,10 +233,11 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
 
 
 def _evaluate_names(tree: ast.AST) -> list[int]:
-    """Lines that name evaluate, bare or as an attribute (cocycle.evaluate)."""
+    """Lines that name evaluate, bare, as an attribute (cocycle.evaluate) or imported."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if (isinstance(node, ast.Name) and node.id == "evaluate")
-                  or (isinstance(node, ast.Attribute) and node.attr == "evaluate"))
+                  or (isinstance(node, ast.Attribute) and node.attr == "evaluate")
+                  or (isinstance(node, ast.alias) and node.name == "evaluate"))
 
 
 PRODUCT_PATH = ("cocycle_product", "_product_of_blocks", "_product_along", "_reduce",
@@ -251,6 +265,30 @@ def test_evaluate_check_sees_an_inline_evaluate():
     )
     assert _evaluate_names(_function(ast.parse(inline_tail), "cocycle_product")) == [3, 5]
     assert _evaluate_names(_function(MODULES["cocycle.py"], "phi"))
+
+
+@pytest.mark.parametrize("name", ["sections.py", "cli.py"])
+def test_grid_consumers_take_entries_from_the_gather(name):
+    # grid loops take their entries from cocycle._evaluated_entries, so that
+    # batching the per-point evaluate calls changes that one function
+    lines = _evaluate_names(MODULES[name])
+    assert not lines, f"{name}: evaluate at lines {lines}; use cocycle._evaluated_entries"
+
+
+def test_gather_check_sees_a_per_point_evaluate():
+    # the check must flag an imported evaluate, one mapped over a grid and one
+    # called per point of a fold, and find the one the gather makes, or it checks nothing
+    per_point = (
+        "from .cocycle import CocycleSpec, evaluate\n"
+        "def _push(spec, xs, angles):\n"
+        "    entries = map(evaluate, repeat(spec), xs.tolist())\n"
+        "    return _wrap(_pushed_angles(entries, angles))\n"
+        "def cmd_scan_periodic(cfg, spec, map_):\n"
+        "    for x in orbit:\n"
+        "        a, b, c, d = _mul(*evaluate(spec, x), a, b, c, d)\n"
+    )
+    assert _evaluate_names(ast.parse(per_point)) == [1, 3, 7]
+    assert _evaluate_names(_function(MODULES["cocycle.py"], "_evaluated_entries"))
 
 
 def _ctypes_imports(tree: ast.Module) -> list[int]:

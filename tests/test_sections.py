@@ -220,18 +220,25 @@ def test_rotate_loop_adds_windings():
 
 # -- degree of the twist ----------------------------------------------------------
 
-def pushed_by_floats(m: tuple[float, float, float, float], t: float) -> float:
-    """The angle of m (cos t, sin t) mod pi for m's entries, written out in Python floats."""
+def pushed_by_floats(m: tuple[float, float, float, float], t: float, atan2=np.arctan2) -> float:
+    """The angle of m (cos t, sin t), before wrapping, for m's entries, written out in
+    Python floats but for atan2: numpy's by default, or math.atan2."""
     ma, mb, mc, md = m
     x, y = math.cos(t), math.sin(t)
-    a = math.atan2(mc * x + md * y, ma * x + mb * y) % PI
+    return float(atan2(mc * x + md * y, ma * x + mb * y))
+
+
+def wrapped(a: float) -> float:
+    """a mod pi in [0, pi), written out on a float."""
+    a %= PI
     return 0.0 if a >= PI else a
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
 @pytest.mark.parametrize("perturbed", [False, True], ids=["example", "perturbed"])
 def test_push_matches_projective_action_bitwise(k, perturbed):
-    """_push on float angles against ProjPoint(_pushed_angles(...)) and plain floats per point."""
+    """_push on float angles against ProjPoint(_pushed_angles(...)) on one point and
+    the numpy reference on floats, bitwise; the reference is within 1 ulp of math.atan2."""
     spec = perturb(example_spec(), 0.05, seed=(9, k)) if perturbed else example_spec()
     assert len(spec.terms) == (8 if perturbed else 0)
     rng = np.random.default_rng([17, k])
@@ -241,9 +248,14 @@ def test_push_matches_projective_action_bitwise(k, perturbed):
     got = _push(spec, xs, angles)
     assert np.all((0.0 <= got) & (got < PI))
     points = list(zip(xs.tolist(), angles.tolist()))
-    by_action = [ProjPoint(_pushed_angles([evaluate(spec, x)], [t])[0]).angle for x, t in points]
-    for want in (by_action, [pushed_by_floats(evaluate(spec, x), t) for x, t in points]):
+    by_action = [ProjPoint(_pushed_angles(*evaluate(spec, x), np.array([t]))[0]).angle
+                 for x, t in points]
+    by_numpy = np.array([pushed_by_floats(evaluate(spec, x), t) for x, t in points])
+    for want in (by_action, [wrapped(a) for a in by_numpy.tolist()]):
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    by_math = np.array([pushed_by_floats(evaluate(spec, x), t, math.atan2) for x, t in points])
+    ulp = np.spacing(np.maximum(np.abs(by_numpy), np.abs(by_math)))
+    assert np.all(np.abs(by_numpy - by_math) <= ulp)
 
 
 def test_twist_degree_of_example_is_two():
@@ -404,7 +416,8 @@ def residual_by_points(spec, m, loop):
         cands = [ProjPoint(loop.samples[j])]
         for d in range(m.k):
             x = (y + d) / m.k
-            cands.append(ProjPoint(_pushed_angles([evaluate(spec, x)], [loop.value(x)])[0]))
+            cands.append(ProjPoint(_pushed_angles(*evaluate(spec, x),
+                                                  np.array([loop.value(x)]))[0]))
         for i in range(len(cands)):
             for l in range(i + 1, len(cands)):
                 worst = max(worst, proj_distance(cands[i], cands[l]))

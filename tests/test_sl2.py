@@ -191,8 +191,26 @@ def test_trace_and_apply():
     m = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
     assert m.a + m.d == 3.0
     # m (1, 2) = (4, 3), read as directions
-    [pushed] = _pushed_angles([(m.a, m.b, m.c, m.d)], [math.atan2(2.0, 1.0)])
+    [pushed] = _pushed_angles(m.a, m.b, m.c, m.d, np.array([math.atan2(2.0, 1.0)]))
     assert pushed == pytest.approx(math.atan2(3.0, 4.0), rel=1e-15)
+
+
+def test_arctan2_bits_do_not_depend_on_the_array():
+    """np.arctan2 gives an element the same bits in a full array, in a strided view,
+    in a one-element slice and on floats: the premise of _pushed_angles, so that a
+    push's angle at a point does not depend on the grid the point is pushed with."""
+    rng = np.random.default_rng(31)
+    n = 4099  # odd, so that vector loops end in a remainder
+    ys, xs = rng.standard_normal((2, n)) * np.exp(rng.uniform(-20.0, 20.0, (2, n)))
+    ys[:6] = [0.0, -0.0, 1.0, -1.0, 0.0, 1e-300]
+    xs[:6] = [1.0, -1.0, 0.0, 0.0, -0.0, 1e300]
+    full = np.arctan2(ys, xs)
+    columns = np.stack([xs, ys, xs, ys], axis=-1)  # as a gather's entry columns lie
+    strided = np.arctan2(columns[:, 1], columns[:, 0])
+    sliced = [np.arctan2(ys[j:j + 1], xs[j:j + 1])[0] for j in range(n)]
+    floats = [np.arctan2(y, x) for y, x in zip(ys.tolist(), xs.tolist())]
+    for want in (strided, sliced, floats):
+        assert np.array_equal(full.view(np.int64), np.array(want).view(np.int64))
 
 
 # -- operator norm and SVD ----------------------------------------------------
