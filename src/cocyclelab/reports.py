@@ -8,12 +8,11 @@ only non-deterministic content.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import importlib.resources
 import json
 import os
-import shutil
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -47,28 +46,64 @@ def dump_report(report: dict, path: str | None) -> None:
     """The report as key-sorted, indented JSON and a newline, to path or stdout.
 
     json.dump writes the text chunk by chunk, so the whole text is never held:
-    json.dumps would build it at several times its size first.  A file is
-    written beside path under a temporary name and renamed over path when
-    complete, so a dump that raises leaves path as it was and no
-    temporary file behind.  A symbolic link at path is followed, so the
-    report replaces the file it names and the link stays; the replaced
-    file's mode is kept.
+    json.dumps would build it at several times its size first.  Where path
+    is missing or a regular file, the report is written beside it under a
+    temporary name and renamed over it when complete, so a dump that raises
+    leaves path as it was and no temporary file behind; a symbolic link at
+    path is followed, so the link stays.  Anything else (a device such as
+    /dev/null, a FIFO, a terminal), and a file the renamed one could not
+    stand in for, is opened and written in place, as a plain open would.
     """
     if path is None:
         _write_report(report, sys.stdout)
         return
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    f = open(tmp, "w")
+    replacement = _open_replacement(path)
+    if replacement is None:
+        with open(path, "w") as f:
+            _write_report(report, f)
+        return
+    f, tmp, target = replacement
     try:
         with f:
             _write_report(report, f)
-        with contextlib.suppress(FileNotFoundError):
-            shutil.copymode(path, tmp)  # a rewritten report keeps its file's mode
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _open_replacement(path: str):
+    """(file, its name, target): a new file to be renamed over path's target.
+
+    None where the rename would not leave the same file under the same names:
+    the target exists and is not a regular file, has other hard links, or
+    has an owner or group the new file cannot take, or its directory
+    refuses a new file (a writable report in a read-only directory).  The
+    new file takes the replaced file's mode, owner and group.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        return None
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, "w")
+    except OSError:
+        return None
+    if st is not None:
+        try:
+            own = os.fstat(f.fileno())
+            if (own.st_uid, own.st_gid) != (st.st_uid, st.st_gid):
+                os.chown(tmp, st.st_uid, st.st_gid)
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        except OSError:
+            f.close()
+            os.unlink(tmp)
+            return None
+    return f, tmp, target
 
 
 def _write_report(report: dict, f) -> None:

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -579,6 +581,46 @@ def test_dump_report_keeps_the_mode_of_the_file_it_replaces(tmp_path):
     out.chmod(0o600)
     dump_report({"command": "holonomy"}, str(out))
     assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_dump_report_writes_into_a_fifo_without_replacing_it(tmp_path):
+    # a FIFO (like /dev/null, /dev/stdout or a process substitution) is not a
+    # regular file: it is opened and written, never renamed over
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        dump_report({"command": "holonomy"}, str(fifo))
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [(json.dumps({"command": "holonomy"}, indent=2) + "\n").encode()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
+def test_dump_report_keeps_the_hard_links_of_the_file_it_writes(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    other = tmp_path / "other.json"
+    os.link(out, other)
+    dump_report({"command": "holonomy"}, str(out))
+    assert os.path.samefile(out, other)
+    assert other.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.json", "report.json"]
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another owner needs root")
+def test_dump_report_keeps_the_owner_of_the_file_it_replaces(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    os.chown(out, 4321, 4322)
+    dump_report({"command": "holonomy"}, str(out))
+    st = out.stat()
+    assert (st.st_uid, st.st_gid) == (4321, 4322)
+    assert out.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
 
 
 def test_dump_report_streams_instead_of_building_the_text(tmp_path):
