@@ -551,10 +551,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     report = make_report(args.command, cfg, results, started)
-    dump_report(report, args.out)
-    if args.csv:
-        header, rows = csv
-        write_csv(args.csv, header, rows)
+    target = args.out or "the report to stdout"
+    try:
+        dump_report(report, args.out)
+        if args.csv:
+            target = args.csv
+            header, rows = csv
+            write_csv(args.csv, header, rows)
+    except OSError as e:
+        print(f"error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -35,9 +35,6 @@ DEFAULT_SEED = 31415926
 
 # orbit points per array pass in the product loops; bounds their scratch memory
 _BLOCK = 4096
-# longest orbit block reduced in Python floats (_reduce_short); from about 16
-# points on an 8-term twist, and 32 on the example, _reduce is faster
-_SHORT = 16
 # norm-growth samples reduced together, one row each; memory grows with it
 _ROWS = 4
 # a full norm-growth block runs its own levels down to _NARROW matrices per row,
@@ -273,10 +270,12 @@ def evaluate(spec: CocycleSpec, x: float) -> tuple[float, float, float, float]:
 
 def _angles(spec: CocycleSpec, xs: np.ndarray) -> np.ndarray:
     """TWO_PI * g(x) over an array or at a float, with CocycleSpec.twist's bits."""
+    if isinstance(xs, float):
+        return TWO_PI * spec.twist(xs)
     if not spec._plan:
         return TWO_PI * (spec.winding * xs)
     a = TWO_PI * xs
-    c, s = (math.cos(a), math.sin(a)) if isinstance(xs, float) else _cos_sin(a)
+    c, s = _cos_sin(a)
     del a
     # _trig_sum, a block's peak on a twist with terms, runs with a freed and
     # before winding * xs is formed; addition commutes, so the bits hold
@@ -440,55 +439,13 @@ def _root(m, logs):
     return m[0, 0, ..., 0], m[0, 1, ..., 0], m[1, 0, ..., 0], m[1, 1, ..., 0], logs[..., 0]
 
 
-def _reduce_short(ms, every: int):
-    """_reduce on a short list ms of entry tuples (a, b, c, d), in Python floats.
-
-    _reduce's bitwise twin: the same tree and pulls, squared norms summed in
-    _pull's order, and the logs from one np.log call, since math.log does not
-    always give its bits.  A zero, infinite or NaN norm raises at its pull.
-    It spares a settled orbit's few points _reduce's per-call overhead, until
-    stable_direction_loop batches its rows through _reduce (ROADMAP items 2, 4).
-    """
-    n = len(ms)
-    norms, pulls = [], []
-    while len(ms) > 1:
-        pull = (len(pulls) + 1) % every == 0 or len(ms) == 2
-        pulls.append(pull)
-        level = []
-        for i in range(1, len(ms), 2):
-            a, b, c, d = _mul(*ms[i], *ms[i - 1])
-            if pull:
-                fr = math.sqrt(a * a + b * b + c * c + d * d)
-                if not 0.0 < fr < math.inf:
-                    raise NumericOverflowError("degenerate step in scaled product")
-                inv = SQRT2 / fr
-                a, b, c, d = a * inv, b * inv, c * inv, d * inv
-                norms.append(fr / SQRT2)
-            level.append((a, b, c, d))
-        ms = level + ms[len(ms) & ~1:]
-    logs = iter(np.log(norms).tolist())
-    tree = [0.0] * n
-    for pull in pulls:
-        pairs = [tree[i] + tree[i - 1] for i in range(1, len(tree), 2)]
-        tree = ([next(logs) + t for t in pairs] if pull else pairs) + tree[len(tree) & ~1:]
-    return (*ms[0], tree[0])
-
-
 def _product_of_blocks(spec: CocycleSpec, blocks) -> ScaledMatrix:
-    """Scaled product of A over consecutive orbit blocks (first point first).
-
-    A block of at most _SHORT points is reduced by _reduce_short on the
-    entries of each point (_entries on a float, in Python floats), a longer
-    one by _reduce on entry arrays; the two give the same bits.
-    """
+    """Scaled product of A over consecutive orbit blocks (first point first): each
+    block reduced by _reduce on its entry arrays, then folded in by _product_step."""
     ma, mb, mc, md, logs = 1.0, 0.0, 0.0, 1.0, 0.0
     for xs in blocks:
-        if len(xs) <= _SHORT:
-            block = _reduce_short([_entries(spec, x) for x in xs], spec._pull_every)
-        else:
-            block = map(float, _reduce(*_entries(spec, np.asarray(xs, dtype=np.float64)),
-                                       spec._pull_every))
-        ea, eb, ec, ed, block_log = block
+        ea, eb, ec, ed, block_log = map(float, _reduce(
+            *_entries(spec, np.asarray(xs, dtype=np.float64)), spec._pull_every))
         ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + block_log, ea, eb, ec, ed)
     return ScaledMatrix(ma, mb, mc, md, logs)
 
@@ -504,18 +461,19 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     there: for k a power of two every orbit reaches 0, after ceil(p/log2 k)
     steps when the lowest set bit of x is 2^-p (p <= 1074).  Each block is
     grown by doubling, 1, 2, 4, ... points, until it is full or its last
-    point is fixed; then the orbit stops at its first visit to x*, and the
-    r steps left are A(x*)^r, left-multiplied by binary powering through
-    _ladder's cached squares (the 4096 seed products of a section at k = 8
-    share two ladders).  A(x*) and the head before x*, often a short block
-    for _reduce_short, take _entries' float path and build no numpy scalar.
+    point is fixed; then the orbit stops at its first visit to x*.  That
+    block's head before x* (at most 4 points on a section's grid at k = 8)
+    folds in one _product_step per point, and the r steps left are A(x*)^r,
+    left-multiplied by binary powering through _ladder's cached squares (the
+    4096 seed products of a section at k = 8 share two ladders).  The head
+    and A(x*) take _entries' float path and build no numpy scalar.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"point {x} outside [0, 1)")
     k = float(m.k)
-    fixed = None  # (x*, steps left at x*) once the orbit settles
+    fixed = None  # (head before x*, x*, steps left at x*) once the orbit settles
 
     def blocks(x):
         nonlocal fixed
@@ -527,9 +485,7 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
                 xs += [x := (k * x) % 1.0 for _ in range(min(start, size - start))]
             if y == x:
                 i = xs.index(x, start)
-                fixed = (y, n - lo - i)
-                if i:
-                    yield xs[:i]
+                fixed = (xs[:i], y, n - lo - i)
                 return
             x = y
             yield xs
@@ -537,8 +493,10 @@ def cocycle_product(spec: CocycleSpec, m: ExpandingMap, x: float, n: int) -> Sca
     p = _product_of_blocks(spec, blocks(x))
     if fixed is None:
         return p
-    x, r = fixed
+    head, x, r = fixed
     ma, mb, mc, md, logs = p.a, p.b, p.c, p.d, p.log_scale
+    for h in head:
+        ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs, *_entries(spec, h))
     for ea, eb, ec, ed, e_log in _ladder(_BITS(*_entries(spec, x)), r.bit_length()):
         if r & 1:
             ma, mb, mc, md, logs = _product_step(ma, mb, mc, md, logs + e_log, ea, eb, ec, ed)

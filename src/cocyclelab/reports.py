@@ -78,8 +78,10 @@ def _open_replacement(path: str):
     None where the rename would not leave the same file under the same names:
     the target exists and is not a regular file, has other hard links, or
     has an owner or group the new file cannot take, or its directory
-    refuses a new file (a writable report in a read-only directory).  The
-    new file takes the replaced file's mode, owner and group.
+    refuses a new file (a writable report in a read-only directory), or a
+    file or link already has the temporary name.  The new file is created
+    with a plain open's mode (0o666 less the umask), then takes the replaced
+    file's mode, owner and group.
     """
     try:
         st = os.stat(path)
@@ -90,7 +92,8 @@ def _open_replacement(path: str):
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        f = open(tmp, "w")
+        # O_EXCL: a file or link already at tmp is never opened or followed
+        f = os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w")
     except OSError:
         return None
     if st is not None:

@@ -575,6 +575,52 @@ def test_dump_report_through_a_symlink_writes_its_target(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
+@pytest.mark.parametrize("previous", [b"previous report\n", None], ids=["over", "new"])
+def test_dump_report_follows_no_link_planted_at_its_temporary_name(previous, tmp_path):
+    # the temporary file is created, never opened: a link already at its name is
+    # neither written through nor renamed over the report, written in place instead
+    out = tmp_path / "report.json"
+    if previous is not None:
+        out.write_bytes(previous)
+    victim = tmp_path / "victim.txt"
+    victim.write_text("not a report\n")
+    planted = tmp_path / f"report.json.{os.getpid()}.tmp"
+    planted.symlink_to(victim.name)
+    dump_report({"command": "holonomy"}, str(out))
+    assert victim.read_text() == "not a report\n"
+    assert out.is_file() and not out.is_symlink()
+    assert out.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
+    assert planted.is_symlink()
+
+
+def test_dump_report_gives_a_new_report_the_mode_open_gives(tmp_path):
+    # the temporary file is created 0o666 less the umask, as open(path, "w") creates one
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "plain.json").write_text("")
+        dump_report({"command": "holonomy"}, str(tmp_path / "report.json"))
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "plain.json").stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_is_a_config_error(flag, tmp_path):
+    # the run's work is done, but the path's directory is missing: one error
+    # line and exit 1, not a traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    missing = tmp_path / "missing" / "out"
+    args = ["--out", str(tmp_path / "report.json")] if flag == "--csv" else []
+    proc = subprocess.run([sys.executable, "-m", "cocyclelab", "bunching", "--grid", "64",
+                           *args, flag, str(missing)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write {missing}: No such file or directory\n"
+    assert not missing.parent.exists()
+
+
 def test_dump_report_keeps_the_mode_of_the_file_it_replaces(tmp_path):
     out = tmp_path / "report.json"
     out.write_text("previous report\n")

@@ -46,7 +46,6 @@ from cocyclelab.cocycle import (
     _BITS,
     _BLOCK,
     _ROWS,
-    _SHORT,
     DEFAULT_SEED,
     _angles,
     _entries,
@@ -63,7 +62,6 @@ from cocyclelab.cocycle import (
     _pull,
     _pull_period,
     _reduce,
-    _reduce_short,
     _trig_sum,
 )
 from cocyclelab.errors import NumericOverflowError
@@ -655,11 +653,6 @@ def nan_in_the_odd_leftover():
     return ea, eb, ec, ed
 
 
-def as_tuples(entries) -> list[tuple[float, float, float, float]]:
-    """Entry arrays (ea, eb, ec, ed) as the per-matrix tuples _reduce_short takes."""
-    return list(zip(*(np.asarray(e, dtype=np.float64).tolist() for e in entries)))
-
-
 @pytest.mark.parametrize("make", [zero_at_an_inner_level, inf_in_the_last_pair,
                                   inf_in_the_odd_leftover, nan_entry, zero_pair, inf_pair,
                                   nan_in_the_odd_leftover, zero_below_unpulled_levels],
@@ -672,52 +665,18 @@ def test_degenerate_products_raise_and_warn_nothing(make):
         for every in PULL_EVERY:
             with pytest.raises(NumericOverflowError, match="degenerate step"):
                 _reduce(*make(), every)
-            with pytest.raises(NumericOverflowError, match="degenerate step"):
-                _reduce_short(as_tuples(make()), every)
-
-
-def reduce_outcome(reduce, *args):
-    try:
-        return hex_bits(reduce(*args))
-    except NumericOverflowError:
-        return "degenerate"
-
-
-@pytest.mark.parametrize("n", range(1, _SHORT + 2))
-def test_short_reduce_is_reduce_bitwise(n):
-    """_reduce_short gives _reduce's bits, or its error, on entries from 1e-150 to 1e150."""
-    rng = np.random.default_rng([21, n])
-    finite = 0
-    for spread in (0, 1, 10, 75, 150):
-        for _ in range(20):
-            entries = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-spread, spread, (4, n))
-            for every in PULL_EVERY:
-                want = reduce_outcome(_reduce, *entries, every)
-                assert reduce_outcome(_reduce_short, as_tuples(entries), every) == want
-                finite += want != "degenerate"
-    assert finite >= 40 * len(PULL_EVERY)
-
-
-def test_short_reduce_takes_the_logs_of_np_log():
-    """The pair's norm sqrt(0.66^2 + 1) / sqrt(2) is one where math.log and np.log
-    can differ in the last bit (they do with numpy 2.4 on x86-64 Linux)."""
-    entries = (np.array([1.0, 0.66]), np.zeros(2), np.zeros(2), np.ones(2))
-    for every in PULL_EVERY:
-        assert hex_bits(_reduce_short(as_tuples(entries), every)) == \
-            hex_bits(_reduce(*entries, every))
 
 
 @pytest.mark.parametrize("every", PULL_EVERY)
 def test_reductions_follow_the_pull_schedule_bitwise(every):
-    """_reduce and _reduce_short give reduce_by_entry_arrays' bits for n = 1 to
-    2^every + 3, so odd leftovers carry across pulled and unpulled levels."""
+    """_reduce gives reduce_by_entry_arrays' bits for n = 1 to 2^every + 3, so
+    odd leftovers carry across pulled and unpulled levels."""
     spec = twisted_spec()
     rng = np.random.default_rng([23, every])
     for n in range(1, 2**every + 4):
         entries = _entries(spec, rng.random(n))
         want = hex_bits(reduce_by_entry_arrays(*entries, every))
         assert hex_bits(_reduce(*entries, every)) == want, n
-        assert hex_bits(_reduce_short(as_tuples(entries), every)) == want, n
 
 
 def test_levels_carry_no_logs_before_the_first_pull():
@@ -832,6 +791,20 @@ def test_product_tail_at_a_fixed_point_matches_the_dense_tree(k, x):
             except NoHyperbolicityError:
                 continue
             assert proj_distance(got.stable_direction(1e3), e_want) <= 1e-13, n
+
+
+@pytest.mark.parametrize("x,n", [(0.0, 2), (0.125, 1), (0.125, 2), (1 / 4096, 256)],
+                         ids=["x*-squared", "one-point-block", "head-of-one", "head-of-four"])
+def test_settled_products_raise_on_degenerate_steps_and_warn_nothing(x, n):
+    # no np.errstate here: a RuntimeWarning would be an error.  Every entry of
+    # A(x) is about 2^600, so its square overflows: at k = 8 the orbit of x
+    # settles on x* = 0, and the step that overflows is A(0)'s squaring on the
+    # ladder, the one-point block's reduction, or the head's first step
+    spec = full_twist_spec(Mat2.diagonal(2.0**600))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="degenerate step"):
+            cocycle_product(spec, ExpandingMap(8), x, n)
 
 
 def product_bits(spec, k, x, n) -> list[str]:
