@@ -12,15 +12,20 @@ digits beyond depth ~13.  Instead we accumulate the telescoping series
 
     H_n = I + sum_m P_{m-1}(y) [A(y_{-m}) A(x_{-m})^{-1} - I] P_{m-1}(x)^{-1}
 
-with P held in scaled form (unit-size matrix + log scale) and the bracket
-computed to relative accuracy from the twist increment: with
-beta = 2 pi (g(y_{-m}) - g(x_{-m})),
+with the bracket computed to relative accuracy from the twist increment
+beta = 2 pi (g(y_{-m}) - g(x_{-m})).  As A(z) = A0 R(2 pi g(z)),
 
-    A(y) A(x)^{-1} - I = A0 (R(beta) - I) A0^{-1},
+    A(y) = A(x) R(beta),   A(y) A(x)^{-1} - I = A0 (R(beta) - I) A0^{-1} = cm1 I + sn K,
 
-and R(beta) - I is evaluated through sin(beta) and -2 sin^2(beta/2).
-Every term is then exact to relative rounding error and the series sums
-without cancellation.
+with K = A0 J A0^{-1} (J the rotation by pi/2) formed once per walk, sn =
+sin(beta) and cm1 = -2 sin^2(beta/2).  Every term is then exact to relative
+rounding error and the series sums without cancellation.  Each level reads
+one base point x_{-m}: P(y) steps by A(x_{-m}) R(beta), so no y preimage is
+formed and A is evaluated once.  Both products take raw 2x2 steps and are
+pulled to Frobenius norm sqrt 2 (cocycle._product_step, the scale's log
+kept apart) only at the depths 2^L divides, L = spec._pull_every, as
+cocycle._reduce pulls every L tree levels: _pull_period keeps 2^L factors
+of A below 2^256, so no step between pulls overflows.
 
 Stable holonomies of this family are trivial: points on one stable leaf
 share the anchor, the cocycle matrix depends on the anchor alone, and the
@@ -119,13 +124,16 @@ def _walk(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
     if delta == 0.0:
         return HolonomyResult(Mat2.identity(), 0, 0.0, True, ())
 
-    # the adjugate of the det-1 base is its inverse
+    # K = A0 J A0^{-1}, J = [[0, -1], [1, 0]]; the adjugate of the det-1 base is its inverse
     b = spec.base
-    ia, ib, ic, id_ = b.d, -b.b, -b.c, b.a
+    ka, kb, kc, kd = _mul(*_mul(b.a, b.b, b.c, b.d, 0.0, -1.0, 1.0, 0.0), b.d, -b.b, -b.c, b.a)
 
-    # factored partial products P_m = A(z_{-1}) ... A(z_{-m}) = exp(s) * M
+    # partial products P_m = A(z_{-1}) ... A(z_{-m}) = exp(s) * M, pulled at the
+    # depths every divides
+    every = 1 << spec._pull_every
     xa, xb, xc, xd, sx = 1.0, 0.0, 0.0, 1.0, 0.0
     ya, yb, yc, yd, sy = 1.0, 0.0, 0.0, 1.0, 0.0
+    scale = 1.0  # exp(sx + sy)
 
     ha, hb, hc, hd = 1.0, 0.0, 0.0, 1.0
     residuals: list[float] = []
@@ -135,19 +143,15 @@ def _walk(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
     for depth, xm in zip(range(1, max_depth + 1), x_it.preimages()):
         delta /= m.k
 
-        # bracket: A0 (R(beta) - I) A0^{-1} at relative accuracy in delta
+        # the bracket cm1 I + sn K at relative accuracy in delta
         beta = TWO_PI * spec.twist_gap(xm, delta)
         sn = math.sin(beta)
         cm1 = -2.0 * math.sin(0.5 * beta) ** 2
-        bracket = _mul(*_mul(b.a, b.b, b.c, b.d, cm1, -sn, sn, cm1), ia, ib, ic, id_)
+        bracket = cm1 + sn * ka, sn * kb, sn * kc, cm1 + sn * kd
 
         # P_{m-1}(y) . bracket . P_{m-1}(x)^{-1}; the inverse of a scaled
         # det-1 product is exp(s) * adj(M)
         ca, cb, cc, cd = _mul(*_mul(ya, yb, yc, yd, *bracket), xd, -xb, -xc, xa)
-        try:
-            scale = math.exp(sx + sy)
-        except OverflowError:
-            raise NumericOverflowError("holonomy partial products overflowed") from None
         ca, cb, cc, cd = ca * scale, cb * scale, cc * scale, cd * scale
 
         res = _s_max(ca, cb, cc, cd)
@@ -163,11 +167,24 @@ def _walk(spec: CocycleSpec, m: ExpandingMap, x_it: BackwardItinerary,
             converged = True
             depth_used = depth
             break
+        if depth == max_depth:
+            break  # no level reads the products extended past it
 
-        # extend both factored products one level down the leaf: P <- P . A(z)
-        ym = (xm + delta) % 1.0
-        xa, xb, xc, xd, sx = _product_step(*evaluate(spec, xm), sx, xa, xb, xc, xd)
-        ya, yb, yc, yd, sy = _product_step(*evaluate(spec, ym), sy, ya, yb, yc, yd)
+        # extend both products one level down the leaf: P(x) <- P(x) . A(x_{-m}) and,
+        # as A(y_{-m}) = A(x_{-m}) . R(beta), P(y) <- P(y) . A(x_{-m}) . R(beta)
+        ea, eb, ec, ed = evaluate(spec, xm)
+        c = 1.0 + cm1
+        fa, fb, fc, fd = _mul(ea, eb, ec, ed, c, -sn, sn, c)
+        if depth % every:
+            xa, xb, xc, xd = _mul(xa, xb, xc, xd, ea, eb, ec, ed)
+            ya, yb, yc, yd = _mul(ya, yb, yc, yd, fa, fb, fc, fd)
+        else:
+            xa, xb, xc, xd, sx = _product_step(ea, eb, ec, ed, sx, xa, xb, xc, xd)
+            ya, yb, yc, yd, sy = _product_step(fa, fb, fc, fd, sy, ya, yb, yc, yd)
+            try:
+                scale = math.exp(sx + sy)
+            except OverflowError:
+                raise NumericOverflowError("holonomy partial products overflowed") from None
 
     h = _as_group_element(ha, hb, hc, hd, converged)
     return HolonomyResult(h, depth_used, residuals[-1], converged, tuple(residuals))

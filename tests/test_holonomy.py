@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from _util import as_array, det, example_map, example_spec, sample_unstable_neighbor
+from _util import (as_array, det, example_map, example_spec, sample_unstable_neighbor,
+                   with_pull_every)
 from cocyclelab import (
     BackwardItinerary,
     ExpandingMap,
@@ -233,15 +234,20 @@ def test_unbunched_typical_pairs_converge_marginally_at_best():
 # -- bits of the lazy walk ----------------------------------------------------------
 
 def reference_holonomy(spec, m, x_it, y_it, tol: float = 1e-8, max_depth: int = 60):
-    """The telescoped series folded over the whole list x_it.points(), with
-    the base inverse built as a Mat2 from its adjugate: the fields of
-    HolonomyResult as a tuple, for a pair with distinct anchors."""
+    """The telescoped series folded over the whole list x_it.points(): the bracket
+    cm1 I + sn K with K = A0 J A0^{-1} built from a Mat2 of the base's adjugate, the
+    y products stepped by A(x_{-m}) R(beta), and both products pulled through
+    _product_step at the depths 2^L divides (L = spec._pull_every), the scale
+    taken afresh at every depth.  The fields of HolonomyResult as a tuple, for a
+    pair with distinct anchors."""
     from cocyclelab.cocycle import TWO_PI, _product_step, evaluate
     from cocyclelab.holonomy import _as_group_element
     from cocyclelab.sl2 import Mat2, _mul, _s_max
 
     b = spec.base
     b_inv = Mat2(b.d, -b.b, -b.c, b.a)
+    k_mat = _mul(*_mul(b.a, b.b, b.c, b.d, 0.0, -1.0, 1.0, 0.0),
+                 b_inv.a, b_inv.b, b_inv.c, b_inv.d)
     xs = x_it.points()
     delta = y_it.x0 - x_it.x0
     px, py = (1.0, 0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0, 0.0)
@@ -251,8 +257,9 @@ def reference_holonomy(spec, m, x_it, y_it, tol: float = 1e-8, max_depth: int = 
         delta /= m.k
         beta = TWO_PI * spec.twist_gap(xs[depth], delta)
         sn, cm1 = math.sin(beta), -2.0 * math.sin(0.5 * beta) ** 2
-        bracket = _mul(*_mul(b.a, b.b, b.c, b.d, cm1, -sn, sn, cm1),
-                       b_inv.a, b_inv.b, b_inv.c, b_inv.d)
+        bracket = [sn * v for v in k_mat]
+        bracket[0] += cm1
+        bracket[3] += cm1
         xa, xb, xc, xd, sx = px
         term = _mul(*_mul(*py[:4], *bracket), xd, -xb, -xc, xa)
         scale = math.exp(sx + py[4])
@@ -262,9 +269,14 @@ def reference_holonomy(spec, m, x_it, y_it, tol: float = 1e-8, max_depth: int = 
         if residuals[-1] <= tol:
             group = _as_group_element(*h, True)
             return group, depth, residuals[-1], True, tuple(residuals)
-        ym = (xs[depth] + delta) % 1.0
-        px = _product_step(*evaluate(spec, xs[depth]), px[4], *px[:4])
-        py = _product_step(*evaluate(spec, ym), py[4], *py[:4])
+        ex = evaluate(spec, xs[depth])
+        ey = _mul(*ex, 1.0 + cm1, -sn, sn, 1.0 + cm1)
+        if depth % 2 ** spec._pull_every == 0:
+            px = _product_step(*ex, px[4], *px[:4])
+            py = _product_step(*ey, py[4], *py[:4])
+        else:
+            px = (*_mul(*px[:4], *ex), px[4])
+            py = (*_mul(*py[:4], *ey), py[4])
     return _as_group_element(*h, False), max_depth, residuals[-1], False, tuple(residuals)
 
 
@@ -297,6 +309,69 @@ def test_lazy_walk_matches_the_fold_on_diverging_witnesses(x0, off, digit):
     assert not res.converged
     got = (res.h, res.depth_used, res.cauchy_residual, res.converged, res.residuals)
     assert result_bits(got) == result_bits(reference_holonomy(spec, m, x_it, y_it))
+
+
+# diag(2^20, 2^-20) has pull period L = 3: its walks pull at depths 8, 16, ...
+PULLED = full_twist_spec(Mat2.diagonal(2.0 ** 20))
+
+
+@pytest.mark.parametrize("k", [8, 3, 2])
+def test_pulled_walk_matches_the_fold_and_a_walk_pulled_at_every_level(k):
+    """Past its first pull the walk keeps the reference's bits, and it agrees with
+    the same walk pulled at every level (2^0 = 1) to 1e-13 relative.  The pair
+    does not converge: its terms grow past 1e100 by depth 12, so the check runs
+    where each pull changes the rounding of every later term."""
+    assert PULLED._pull_every == 3
+    every_level = with_pull_every(PULLED, 0)
+    m = ExpandingMap(k)
+    for seed in range(70, 74):
+        x_it, y_it = leaf_pair(k, seed)
+        res = u_holonomy(PULLED, m, x_it, y_it, tol=1e-300, max_depth=20)
+        got = (res.h, res.depth_used, res.cauchy_residual, res.converged, res.residuals)
+        want = reference_holonomy(PULLED, m, x_it, y_it, tol=1e-300, max_depth=20)
+        assert result_bits(got) == result_bits(want)
+        # 12 levels: the rounding of every-level pulls drifts by about 6e-15 a level
+        res = u_holonomy(PULLED, m, x_it, y_it, tol=1e-300, max_depth=12)
+        ref = u_holonomy(every_level, m, x_it, y_it, tol=1e-300, max_depth=12)
+        assert res.residuals[-1] > 1e100
+        for r, q in zip(res.residuals, ref.residuals, strict=True):
+            assert abs(r - q) <= 1e-13 * q
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 100, 2.0 ** 511, 1e300])
+def test_a_base_near_float_range_raises_and_returns_no_overflowed_residual(scale):
+    """Raw steps between pulls overflow to inf (pull period 1: two factors of up
+    to 1e300 between pulls), and the walk raises rather than return them."""
+    spec, m = full_twist_spec(Mat2.diagonal(scale)), example_map()
+    assert spec._pull_every == 1
+    for seed in range(3):
+        with pytest.raises(NumericOverflowError):
+            u_holonomy(spec, m, *leaf_pair(8, seed), tol=1e-300)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_y_factor_from_the_x_factor_at_the_seam(k):
+    """A(y_{-m}) = A(x_{-m}) R(beta_m) where y_{-m} = x_{-m} + delta_m lies next to
+    1.0 and, in float, wraps to 0: the walk's y factor matches evaluate at the
+    wrapped preimage to a few ulps of the largest entry (each side rounds an angle
+    near 2 pi, whose ulp is 8.9e-16, and multiplies by a base of norm 2)."""
+    from cocyclelab import evaluate
+    from cocyclelab.cocycle import TWO_PI
+    from cocyclelab.sl2 import _mul
+
+    spec = example_spec()
+    x_it = BackwardItinerary(k, 1.0 - 0.3 / k, (k - 1,) * 60)
+    delta = 0.2 / k
+    wrapped = 0
+    for xm in x_it.preimages():
+        delta /= k
+        beta = TWO_PI * spec.twist_gap(xm, delta)
+        sn, c = math.sin(beta), 1.0 - 2.0 * math.sin(0.5 * beta) ** 2
+        got = _mul(*evaluate(spec, xm), c, -sn, sn, c)
+        want = evaluate(spec, (xm + delta) % 1.0)
+        wrapped += xm + delta >= 1.0
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 16 * math.ulp(max(map(abs, want)))
+    assert wrapped >= 1
 
 
 def test_equivariance_refuses_diverged_limits():

@@ -226,40 +226,47 @@ def test_atan2_check_sees_an_inline_push():
             for fn in ARCTANGENT_HOMES} == {"arctan2": {"_pushed_angles"}, "atan2": {"_svd_raw"}}
 
 
-# a product is pulled to Frobenius norm sqrt 2 in two places: one scalar step
-# and one array pull, whose bits every product kernel shares
-NORMALIZATION_HOMES = ("_product_step", "_pull")
+# a product is pulled to Frobenius norm sqrt 2 in two places, both in cocycle.py: one
+# scalar step and one array pull, whose bits every product kernel and the holonomy
+# walk share
+NORMALIZATION_HOMES = (("cocycle.py", "_product_step"), ("cocycle.py", "_pull"))
 
 
-def _misplaced_pulls(tree: ast.AST) -> list[str]:
-    """'scope:line' of each read of SQRT2, bare or as an attribute, outside its homes."""
+def _misplaced_pulls(name: str, tree: ast.AST) -> list[str]:
+    """'scope:line' of each read of SQRT2, bare or as an attribute, in module name
+    outside its homes."""
     return [f"{scope or '<module>'}:{line}" for scope, line in _scoped(tree, lambda node: (
         (isinstance(node, ast.Name) and node.id == "SQRT2" and isinstance(node.ctx, ast.Load))
         or (isinstance(node, ast.Attribute) and node.attr == "SQRT2")))
-        if scope not in NORMALIZATION_HOMES]
+        if (name, scope) not in NORMALIZATION_HOMES]
 
 
 def test_only_the_scalar_step_and_the_array_pull_normalize():
-    lines = _misplaced_pulls(MODULES["cocycle.py"])
-    assert not lines, f"cocycle.py: SQRT2 at {lines}; pull with _product_step or _pull"
+    misplaced = {name: lines for name, tree in MODULES.items()
+                 if (lines := _misplaced_pulls(name, tree))}
+    assert not misplaced, f"SQRT2 at {misplaced}; pull with cocycle._product_step or _pull"
 
 
 def test_normalization_check_sees_an_inline_pull():
-    # the check must flag a pull inlined in a scalar reduction, a qualified
-    # SQRT2 and a module-level one, and find each home's own, or it checks nothing
+    # the check must flag a pull inlined in a walk, a qualified SQRT2, a module-level
+    # one and a home's name outside cocycle.py, and find each home's own, or it
+    # checks nothing
     inline_pull = (
         "SQRT2 = math.sqrt(2.0)\n"
         "def _product_step(ma, mb, mc, md, logs, ea, eb, ec, ed):\n"
         "    return SQRT2\n"
-        "def _reduce_short(ms, every):\n"
-        "    inv = SQRT2 / fr\n"
-        "    norms.append(fr / cocycle.SQRT2)\n"
+        "def _walk(spec, m, x_it, y_it, tol, max_depth):\n"
+        "    fr = math.sqrt(xa * xa + xb * xb + xc * xc + xd * xd)\n"
+        "    xa, xb, xc, xd = (v * (SQRT2 / fr) for v in (xa, xb, xc, xd))\n"
+        "    sx += math.log(fr / cocycle.SQRT2)\n"
         "LOG_SQRT2 = math.log(SQRT2)\n"
     )
-    assert _misplaced_pulls(ast.parse(inline_pull)) == [
-        "_reduce_short:5", "_reduce_short:6", "<module>:7"]
+    tree = ast.parse(inline_pull)
+    assert _misplaced_pulls("cocycle.py", tree) == ["_walk:6", "_walk:7", "<module>:8"]
+    assert _misplaced_pulls("holonomy.py", tree) == [
+        "_product_step:3", "_walk:6", "_walk:7", "<module>:8"]
     assert {scope for scope, _ in _named(MODULES["cocycle.py"], ("SQRT2",))} == {
-        "", *NORMALIZATION_HOMES}
+        "", *(scope for _, scope in NORMALIZATION_HOMES)}
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:

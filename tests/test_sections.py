@@ -16,6 +16,7 @@ from cocyclelab import (
     ProjectiveLoop,
     ResolutionError,
     TwistTerm,
+    cocycle_product,
     degree_obstruction,
     evaluate,
     perturb,
@@ -343,14 +344,25 @@ def test_stable_direction_loop_pinned_bits(spec, k, grid_n, steps, digest):
 
 
 def test_stable_direction_loop_pulled_at_every_level_keeps_the_old_bits():
-    """At a pull period of 1 both loops give the digests pinned before pulls
-    were spaced; the k = 8 loop, which reaches no tree, its own digest."""
-    old = ["fb81aba1b5d6be7420694f3e97cbfc7bd8e011f8e31b6cd825bef44de82ac326",
-           "2d4a6ecbc134aef516c589cda77e832f2044d02763832dfc9729c23e028c15e6"]
-    for (spec, k, grid_n, steps, _), digest in zip(PINNED_LOOPS, old):
-        loop = stable_direction_loop(with_pull_every(spec, 1), ExpandingMap(k), grid_n, steps)
-        text = "\n".join(float(v).hex() for v in loop.samples)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    """At a pull period of 1 the k = 3 loop gives the digest pinned before pulls
+    were spaced.  Every k = 8 grid orbit settles on 0 within 4 steps and reaches
+    no tree, so the k = 8 pull schedule is pinned on a product that does: the
+    orbit of 2^-900 first reaches 0 at step 300, so its first 256 points form
+    one _reduce block, whose bits differ between periods 1 and 8."""
+    spec, k, grid_n, steps, _ = PINNED_LOOPS[1]
+    loop = stable_direction_loop(with_pull_every(spec, 1), ExpandingMap(k), grid_n, steps)
+    text = "\n".join(float(v).hex() for v in loop.samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2d4a6ecbc134aef516c589cda77e832f2044d02763832dfc9729c23e028c15e6")
+    spec = example_spec()
+    assert spec._pull_every == 8
+    pinned = {1: ("0x1.2584545058f5fp-134", "0x1.6232bdd7abcd3p+7"),
+              8: ("0x1.2584545058f60p-134", "0x1.6232bdd7abcd2p+7")}
+    for every, (c, log_scale) in pinned.items():
+        p = cocycle_product(with_pull_every(spec, every), example_map(), 2.0 ** -900, 256)
+        assert tuple(float(v).hex() for v in (p.a, p.b, p.c, p.d, p.log_scale)) == (
+            "0x1.6a09e667f3bcdp+0", "-0x1.1c5831add62e4p-641", c,
+            "0x1.6a09e667f3bcdp-512", log_scale)
 
 
 def test_search_validation():
