@@ -9,6 +9,7 @@ embedded cross-check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -129,7 +130,9 @@ NULLABLE_TYPES = {"burn_in": int, "theta": float}
 METHODS = ("both", "norm-growth", "furstenberg")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # one parser per process: parse_args leaves it as it was
     p = _Parser(prog="cocyclelab", description=__doc__)
     p.add_argument("--version", action="version", version=f"cocyclelab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

@@ -14,7 +14,6 @@ sample the wrong invariant measure.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import struct
@@ -41,8 +40,8 @@ _ROWS = 4
 # then up to _BATCH such blocks finish together (_block_products)
 _NARROW = 64
 _BATCH = 8
-# bytes of the C heap chunk freed before norm growth; see _keep_heap_resident
-_HEAP_CHUNK = 4 << 20
+# bytes of the never-written array dropped before norm growth; see lyapunov_norm_growth
+_HEAP_CHUNK = 1 << 20
 _BITS = struct.Struct("4d").pack  # the exact bits of entries (a, b, c, d), _ladder's key
 
 
@@ -556,30 +555,6 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _keep_heap_resident() -> None:
-    """Free one _HEAP_CHUNK-byte chunk through the C allocator, if there is one.
-
-    glibc serves a request above its mmap threshold (128 KiB at start-up)
-    from a fresh mapping, and hands free heap above its trim threshold back
-    to the system.  A (4, 4096) norm-growth block holds up to ~1.5 MB of
-    arrays at once (its orbit, entries and wide levels), most of them 128 KiB
-    or just above, so without this every block maps and faults its pages in
-    afresh.  Freeing a mapped chunk raises the two thresholds to its size and
-    twice that (mallopt(3), dynamic mmap threshold), and the blocks then
-    reuse the heap.  The chunk is never written, so it costs no page faults.
-    Another C allocator just frees it; where no C malloc is found this does
-    nothing.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-        malloc, free = libc.malloc, libc.free
-    except (OSError, TypeError, AttributeError):
-        return
-    malloc.argtypes, malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
-    free.argtypes, free.restype = (ctypes.c_void_p,), None
-    free(malloc(_HEAP_CHUNK))
-
-
 def _block_products(spec: CocycleSpec, k: int, digits: np.ndarray, start: int, stop: int):
     """The product of each block of orbit steps start .. stop - 1, in order.
 
@@ -663,14 +638,23 @@ def lyapunov_norm_growth(spec: CocycleSpec, m: ExpandingMap, n_steps: int,
     burn-in lets the vector align before averaging starts.  Bitwise
     reproducible for a fixed seed.
     """
+    n_steps, n_samples = _integral("n_steps", n_steps), _integral("n_samples", n_samples)
     if n_steps < 1 or n_samples < 1:
         raise ValueError("n_steps and n_samples must be >= 1")
     if burn_in is None:
         burn_in = min(100, max(1, n_steps // 10))
+    burn_in = _integral("burn_in", burn_in)
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
 
-    _keep_heap_resident()
+    # glibc maps a request above its mmap threshold (128 KiB at start-up) and
+    # trims free heap above its trim threshold, so each block's arrays (~1.1 MB,
+    # most 128 KiB or just above) would be mapped and faulted in afresh.  numpy
+    # takes this array straight from malloc, glibc maps it, and freeing that
+    # mapping raises the two thresholds to its size and twice that (mallopt(3)),
+    # so the blocks reuse the heap.  It is never written: no page faults.  It
+    # is traced like any array, so it stays below a run's own traced peak.
+    np.empty(_HEAP_CHUNK, dtype=np.uint8)
     values = []
     for lo in range(0, n_samples, _ROWS):
         rngs = [rng_from(seed, i) for i in range(lo, min(lo + _ROWS, n_samples))]
@@ -717,6 +701,8 @@ def lyapunov_furstenberg(spec: CocycleSpec, m: ExpandingMap, n_direction: int = 
     fails the hyperbolicity gap the cocycle is flagged degenerate and the
     estimate reported as 0.
     """
+    n_direction = _integral("n_direction", n_direction)
+    n_samples = _integral("n_samples", n_samples)
     if n_direction < 8 or n_samples < 1:
         raise ValueError("need n_direction >= 8 and n_samples >= 1")
 

@@ -110,6 +110,16 @@ def test_every_setting_has_a_flag(command):
         assert cfg[key] == value and type(cfg[key]) is type(value)
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    """build_parser returns one parser per process, and parsing leaves it as
+    it was: a run after one with --k 3 still resolves the default k."""
+    assert build_parser() is build_parser()
+    code, report = run_cli(["degree", "--grid", "512", "--k", "3"], tmp_path, "k3.json")
+    assert code == 0 and report["config"]["k"] == 3
+    code, report = run_cli(["degree", "--grid", "512"], tmp_path)
+    assert code == 0 and report["config"]["k"] == COMMON_DEFAULTS["k"] == 8
+
+
 def test_stdout_report_when_no_out(capsys):
     code = main(["degree", "--grid", "512"])
     assert code == 0

@@ -1,6 +1,5 @@
 """Cocycle products and Lyapunov estimators against naive oracles."""
 
-import ctypes
 import json
 import math
 import os
@@ -51,7 +50,6 @@ from cocyclelab.cocycle import (
     _entries,
     _evaluated_entries,
     _first_level,
-    _keep_heap_resident,
     _ladder,
     _levels,
     _block_products,
@@ -1113,21 +1111,6 @@ def test_norm_growth_blocks_do_not_refault_the_heap():
     assert int(out.stdout) <= 500
 
 
-def _no_c_library(name):
-    raise OSError("no C library here")
-
-
-@pytest.mark.parametrize("fake_cdll", [_no_c_library, lambda name: object()],
-                         ids=["no-library", "no-malloc"])
-def test_norm_growth_runs_without_a_c_malloc(fake_cdll, monkeypatch):
-    """Where no C malloc is found the heap helper does nothing, and the
-    estimate keeps its bits."""
-    want = lyapunov_norm_growth(twisted_spec(), ExpandingMap(3), n_steps=500, n_samples=2)
-    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
-    _keep_heap_resident()
-    assert lyapunov_norm_growth(twisted_spec(), ExpandingMap(3), n_steps=500, n_samples=2) == want
-
-
 def test_norm_growth_constant_diagonal_is_log2():
     est = lyapunov_norm_growth(constant_spec(), example_map(), n_steps=2000,
                                n_samples=4, seed=(DEFAULT_SEED, 0))
@@ -1184,6 +1167,29 @@ def test_norm_growth_rejects_bad_sizes():
         lyapunov_norm_growth(example_spec(), example_map(), n_steps=10, n_samples=0)
     with pytest.raises(ValueError):
         lyapunov_norm_growth(example_spec(), example_map(), n_steps=2000, burn_in=-100)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, np.int64(8)], ids=["bool", "fraction", "int64"])
+def test_estimator_counts_must_be_integers(count):
+    """A bool or a non-integral float count raises the package's ValueError,
+    not a run of True steps or numpy's TypeError; a numpy integer counts as
+    the int it holds, with the same bits and a plain int in the estimate."""
+    spec, m = example_spec(), example_map(8)
+    calls = [
+        lambda c: lyapunov_norm_growth(spec, m, n_steps=c, n_samples=2),
+        lambda c: lyapunov_norm_growth(spec, m, n_steps=64, n_samples=c),
+        lambda c: lyapunov_norm_growth(spec, m, n_steps=64, n_samples=2, burn_in=c),
+        lambda c: lyapunov_furstenberg(spec, m, n_direction=c, n_samples=2),
+        lambda c: lyapunov_furstenberg(spec, m, n_direction=16, n_samples=c),
+    ]
+    for call in calls:
+        if isinstance(count, np.integer):
+            est = call(count)
+            assert est == call(int(count))
+            assert type(est.n_steps) is int and type(est.n_samples) is int
+        else:
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(count)
 
 
 # -- stable directions and the space-average estimator -------------------------
