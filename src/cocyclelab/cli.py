@@ -14,6 +14,7 @@ import json
 import math
 import statistics
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -316,29 +317,14 @@ def cmd_robustness(cfg, spec, map_):
 
 
 def _spearman(xs: list[float], ys: list[float]) -> float:
+    """Rank correlation, ties given their average rank; 0.0 for constant or single input."""
     def ranks(vs):
-        order = sorted(range(len(vs)), key=lambda i: vs[i])
-        r = [0.0] * len(vs)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vs[order[j + 1]] == vs[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0
-            for t in range(i, j + 1):
-                r[order[t]] = avg
-            i = j + 1
-        return r
-
-    rx, ry = ranks(xs), ranks(ys)
-    mx = sum(rx) / len(rx)
-    my = sum(ry) / len(ry)
-    num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    dx = math.sqrt(sum((a - mx) ** 2 for a in rx))
-    dy = math.sqrt(sum((b - my) ** 2 for b in ry))
-    if dx == 0.0 or dy == 0.0:
+        s = sorted(vs)
+        return [(bisect_left(s, v) + bisect_right(s, v) - 1) / 2 for v in vs]
+    try:
+        return statistics.correlation(ranks(xs), ranks(ys))
+    except statistics.StatisticsError:
         return 0.0
-    return num / (dx * dy)
 
 
 def cmd_continuity(cfg, spec, map_):

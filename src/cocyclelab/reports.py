@@ -46,26 +46,41 @@ def dump_report(report: dict, path: str | None) -> None:
     """The report as key-sorted, indented JSON and a newline, to path or stdout.
 
     json.dump writes the text chunk by chunk, so the whole text is never held:
-    json.dumps would build it at several times its size first.  Where path
-    is missing or a regular file, the report is written beside it under a
-    temporary name and renamed over it when complete, so a dump that raises
-    leaves path as it was and no temporary file behind; a symbolic link at
-    path is followed, so the link stays.  Anything else (a device such as
-    /dev/null, a FIFO, a terminal), and a file the renamed one could not
-    stand in for, is opened and written in place, as a plain open would.
+    json.dumps would build it at several times its size first.
     """
+    def write(f):
+        json.dump(report, f, sort_keys=True, indent=2)
+        f.write("\n")
     if path is None:
-        _write_report(report, sys.stdout)
-        return
+        write(sys.stdout)
+    else:
+        _write(path, write)
+
+
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    _write(path, lambda f: csv.writer(f).writerows([header, *rows]))
+
+
+def _write(path: str, write) -> None:
+    """write(f) on a text file (no newline translation) that ends up at path.
+
+    Where path is missing or a regular file, the text is written beside it
+    under a temporary name and renamed over it when complete, so a write
+    that raises leaves path as it was and no temporary file behind; a
+    symbolic link at path is followed, so the link stays.  Anything else (a
+    device such as /dev/null, a FIFO, a terminal), and a file the renamed
+    one could not stand in for, is opened and written in place, as a plain
+    open would.
+    """
     replacement = _open_replacement(path)
     if replacement is None:
-        with open(path, "w") as f:
-            _write_report(report, f)
+        with open(path, "w", newline="") as f:
+            write(f)
         return
     f, tmp, target = replacement
     try:
         with f:
-            _write_report(report, f)
+            write(f)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -93,7 +108,8 @@ def _open_replacement(path: str):
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         # O_EXCL: a file or link already at tmp is never opened or followed
-        f = os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w")
+        f = os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w",
+                      newline="")
     except OSError:
         return None
     if st is not None:
@@ -109,18 +125,7 @@ def _open_replacement(path: str):
     return f, tmp, target
 
 
-def _write_report(report: dict, f) -> None:
-    json.dump(report, f, sort_keys=True, indent=2)
-    f.write("\n")
-
-
 def load_schema() -> dict:
     ref = importlib.resources.files("cocyclelab") / "schemas" / SCHEMA_RESOURCE
     return json.loads(ref.read_text())
 
-
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)

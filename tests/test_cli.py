@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import stat
@@ -30,11 +31,12 @@ from cocyclelab.cli import (
     NULLABLE_TYPES,
     RUNNERS,
     _fraction_str,
+    _spearman,
     build_parser,
     main,
     resolve_config,
 )
-from cocyclelab.reports import canonical_payload, dump_report, load_schema
+from cocyclelab.reports import canonical_payload, dump_report, load_schema, write_csv
 
 SCHEMA = load_schema()
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -372,6 +374,23 @@ def test_natext_coarse_grid_exits_2(flags, tmp_path):
 
 # -- exit code 3: analysis-level failure -------------------------------------------
 
+def test_spearman_gives_tied_values_their_average_rank():
+    # ranks 0, 1.5, 1.5, 3 against 0, 1, 2, 3: sqrt(0.9); ranking the tie 1, 1 or
+    # 1, 2 would give sqrt(0.8) or 1
+    assert _spearman([1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0]) == pytest.approx(
+        math.sqrt(0.9), rel=1e-15)
+    assert _spearman([1.0, 2.0, 2.0, 3.0], [4.0, 3.0, 3.0, 1.0]) == -1.0
+
+
+def test_spearman_of_the_default_continuity_rows_is_four_fifths():
+    # the default run's c0 gaps and exponent deltas: one swapped pair of ranks,
+    # 1 - 6 * 2 / (4 * 15) = 4/5, correctly rounded
+    c0 = [1.2441315577609202, 0.42489232859201953, 0.13197172517501468, 0.04808731485351205]
+    delta = [0.06217976707161363, 0.006982403708186674, 0.0003604629316992791,
+             0.00040508023936369764]
+    assert _spearman(c0, delta) == 0.8
+
+
 def test_degenerate_trend_exits_3(tmp_path):
     """A single j value leaves the monotonicity check without a trend to
     confirm; the report is still written, with pass=false."""
@@ -553,54 +572,80 @@ def test_dump_report_to_stdout_writes_the_same_text(capsys):
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+# The two writers of an output file and the bytes each writes for a small input.
+# Both go through one replace-or-write path, so each file-rule test below
+# holds for the report and for the CSV alike.
+WRITERS = {
+    "report": (lambda path: dump_report({"command": "holonomy"}, path),
+               (json.dumps({"command": "holonomy"}, indent=2) + "\n").encode()),
+    "csv": (lambda path: write_csv(path, ["j", "delta"], [[100, 0.5]]),
+            b"j,delta\r\n100,0.5\r\n"),
+}
+
+
+def _each_writer(tmp_path):
+    """(directory, write, its bytes) per writer, each in a directory of its own."""
+    for name, (write, text) in WRITERS.items():
+        folder = tmp_path / name
+        folder.mkdir()
+        yield folder, write, text
+
+
 @pytest.mark.parametrize("previous", [b"previous report\n", None], ids=["over", "new"])
 def test_dump_report_that_raises_leaves_the_file_as_it_was(previous, tmp_path, monkeypatch):
-    # a dump that fails partway must not truncate the previous report, nor leave
+    # a write that fails partway must not truncate the previous file, nor leave
     # its temporary file behind
-    out = tmp_path / "report.json"
-    if previous is not None:
-        out.write_bytes(previous)
-
     def failing_dump(obj, f, **kwargs):
         f.write('{"command": "hol')
         raise OSError("no space left on device")
 
+    def failing_writer(f):
+        f.write("j,del")
+        raise OSError("no space left on device")
+
     monkeypatch.setattr(json, "dump", failing_dump)
-    with pytest.raises(OSError, match="no space"):
-        dump_report({"command": "holonomy"}, str(out))
-    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["report.json"])
-    if previous is not None:
-        assert out.read_bytes() == previous
+    monkeypatch.setattr(csv, "writer", failing_writer)
+    for folder, write, _ in _each_writer(tmp_path):
+        out = folder / "report.json"
+        if previous is not None:
+            out.write_bytes(previous)
+        with pytest.raises(OSError, match="no space"):
+            write(str(out))
+        assert [p.name for p in folder.iterdir()] == ([] if previous is None else ["report.json"])
+        if previous is not None:
+            assert out.read_bytes() == previous
 
 
 def test_dump_report_through_a_symlink_writes_its_target(tmp_path):
     # the temporary file is renamed over the file the link names, not over the link
-    target = tmp_path / "target.json"
-    target.write_text("previous report\n")
-    link = tmp_path / "link.json"
-    link.symlink_to(target.name)
-    dump_report({"command": "holonomy"}, str(link))
-    assert link.is_symlink()
-    assert target.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+    for folder, write, text in _each_writer(tmp_path):
+        target = folder / "target.json"
+        target.write_text("previous report\n")
+        link = folder / "link.json"
+        link.symlink_to(target.name)
+        write(str(link))
+        assert link.is_symlink()
+        assert target.read_bytes() == text
+        assert sorted(p.name for p in folder.iterdir()) == ["link.json", "target.json"]
 
 
 @pytest.mark.parametrize("previous", [b"previous report\n", None], ids=["over", "new"])
 def test_dump_report_follows_no_link_planted_at_its_temporary_name(previous, tmp_path):
     # the temporary file is created, never opened: a link already at its name is
-    # neither written through nor renamed over the report, written in place instead
-    out = tmp_path / "report.json"
-    if previous is not None:
-        out.write_bytes(previous)
-    victim = tmp_path / "victim.txt"
-    victim.write_text("not a report\n")
-    planted = tmp_path / f"report.json.{os.getpid()}.tmp"
-    planted.symlink_to(victim.name)
-    dump_report({"command": "holonomy"}, str(out))
-    assert victim.read_text() == "not a report\n"
-    assert out.is_file() and not out.is_symlink()
-    assert out.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
-    assert planted.is_symlink()
+    # neither written through nor renamed over the file, written in place instead
+    for folder, write, text in _each_writer(tmp_path):
+        out = folder / "report.json"
+        if previous is not None:
+            out.write_bytes(previous)
+        victim = folder / "victim.txt"
+        victim.write_text("not a report\n")
+        planted = folder / f"report.json.{os.getpid()}.tmp"
+        planted.symlink_to(victim.name)
+        write(str(out))
+        assert victim.read_text() == "not a report\n"
+        assert out.is_file() and not out.is_symlink()
+        assert out.read_bytes() == text
+        assert planted.is_symlink()
 
 
 def test_dump_report_gives_a_new_report_the_mode_open_gives(tmp_path):
@@ -608,10 +653,11 @@ def test_dump_report_gives_a_new_report_the_mode_open_gives(tmp_path):
     umask = os.umask(0o027)
     try:
         (tmp_path / "plain.json").write_text("")
-        dump_report({"command": "holonomy"}, str(tmp_path / "report.json"))
+        for folder, write, _ in _each_writer(tmp_path):
+            write(str(folder / "report.json"))
+            assert (folder / "report.json").stat().st_mode & 0o777 == 0o640
     finally:
         os.umask(umask)
-    assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o640
     assert (tmp_path / "plain.json").stat().st_mode & 0o777 == 0o640
 
 
@@ -632,51 +678,56 @@ def test_unwritable_output_path_is_a_config_error(flag, tmp_path):
 
 
 def test_dump_report_keeps_the_mode_of_the_file_it_replaces(tmp_path):
-    out = tmp_path / "report.json"
-    out.write_text("previous report\n")
-    out.chmod(0o600)
-    dump_report({"command": "holonomy"}, str(out))
-    assert out.stat().st_mode & 0o777 == 0o600
+    for folder, write, _ in _each_writer(tmp_path):
+        out = folder / "report.json"
+        out.write_text("previous report\n")
+        out.chmod(0o600)
+        write(str(out))
+        assert out.stat().st_mode & 0o777 == 0o600
 
 
 def test_dump_report_writes_into_a_fifo_without_replacing_it(tmp_path):
     # a FIFO (like /dev/null, /dev/stdout or a process substitution) is not a
     # regular file: it is opened and written, never renamed over
-    fifo = tmp_path / "report.fifo"
-    os.mkfifo(fifo)
-    received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    try:
-        dump_report({"command": "holonomy"}, str(fifo))
-    finally:
-        reader.join(timeout=10)
-    assert not reader.is_alive()
-    assert received == [(json.dumps({"command": "holonomy"}, indent=2) + "\n").encode()]
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+    for folder, write, text in _each_writer(tmp_path):
+        fifo = folder / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            write(str(fifo))
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [text]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in folder.iterdir()] == ["report.fifo"]
 
 
 def test_dump_report_keeps_the_hard_links_of_the_file_it_writes(tmp_path):
-    out = tmp_path / "report.json"
-    out.write_text("previous report\n")
-    other = tmp_path / "other.json"
-    os.link(out, other)
-    dump_report({"command": "holonomy"}, str(out))
-    assert os.path.samefile(out, other)
-    assert other.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.json", "report.json"]
+    for folder, write, text in _each_writer(tmp_path):
+        out = folder / "report.json"
+        out.write_text("previous report\n")
+        other = folder / "other.json"
+        os.link(out, other)
+        write(str(out))
+        assert os.path.samefile(out, other)
+        assert other.read_bytes() == text
+        assert sorted(p.name for p in folder.iterdir()) == ["other.json", "report.json"]
 
 
 @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another owner needs root")
 def test_dump_report_keeps_the_owner_of_the_file_it_replaces(tmp_path):
-    out = tmp_path / "report.json"
-    out.write_text("previous report\n")
-    os.chown(out, 4321, 4322)
-    dump_report({"command": "holonomy"}, str(out))
-    st = out.stat()
-    assert (st.st_uid, st.st_gid) == (4321, 4322)
-    assert out.read_text() == json.dumps({"command": "holonomy"}, indent=2) + "\n"
+    for folder, write, text in _each_writer(tmp_path):
+        out = folder / "report.json"
+        out.write_text("previous report\n")
+        os.chown(out, 4321, 4322)
+        write(str(out))
+        st = out.stat()
+        assert (st.st_uid, st.st_gid) == (4321, 4322)
+        assert out.read_bytes() == text
 
 
 def test_dump_report_streams_instead_of_building_the_text(tmp_path):

@@ -344,9 +344,8 @@ def _ctypes_imports(tree: ast.Module) -> list[int]:
 
 
 @pytest.mark.parametrize("name", list(MODULES))
-def test_only_cocycle_imports_ctypes(name):
-    # the package makes no foreign call: no module, cocycle.py included, imports
-    # ctypes (the name is kept from when cocycle.py alone could)
+def test_no_module_imports_ctypes(name):
+    # the package makes no foreign call
     lines = _ctypes_imports(MODULES[name])
     assert not lines, f"{name}: ctypes imported at lines {lines}"
 
@@ -363,6 +362,61 @@ def test_ctypes_check_sees_every_import_form():
         "import numpy\n"
     )
     assert _ctypes_imports(ast.parse(imports)) == [1, 2, 3, 4]
+
+
+# flags of os.open that write to the file or create it
+WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT")
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    """Whether node is a call of open (or io.open) or os.fdopen whose mode writes (a
+    mode with w, a, x or +, or one that is not a literal), or of os.open whose
+    flags name O_WRONLY, O_RDWR or O_CREAT."""
+    if not isinstance(node, ast.Call):
+        return False
+    called = ast.unparse(node.func)
+    if called not in ("open", "io.open", "os.fdopen", "os.open"):
+        return False
+    keyword = "flags" if called == "os.open" else "mode"
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == keyword), None)
+    if mode is None:
+        return False
+    if called == "os.open":
+        return any(flag in ast.unparse(mode) for flag in WRITE_FLAGS)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "reports.py"])
+def test_only_reports_opens_a_file_for_writing(name):
+    # every output file goes through reports._write, so every one has one
+    # replace-or-write policy
+    found = _scoped(MODULES[name], _opens_for_writing)
+    assert not found, f"{name}: file opened for writing at {found}; use reports._write"
+
+
+def test_write_check_sees_an_in_place_csv():
+    # the check must flag each writing open and pass each reading one, and find
+    # reports._write's own open, or it checks nothing
+    in_place = (
+        "def main(argv=None):\n"
+        "    with open(args.config) as f:\n"
+        "        cfg = json.load(f)\n"
+        "    with open(args.csv, 'w', newline='') as f:\n"
+        "        csv.writer(f).writerows([header, *rows])\n"
+        "    with io.open(path, mode='a') as f, open(path, 'rb') as g:\n"
+        "        f.write(g.read())\n"
+        "    fd = os.open(path, flags=os.O_WRONLY | os.O_TRUNC)\n"
+        "    r = os.open(path, os.O_RDONLY)\n"
+        "    f = os.fdopen(fd, mode)\n"
+        "    g = os.fdopen(r)\n"
+    )
+    assert [line for _, line in _scoped(ast.parse(in_place), _opens_for_writing)] == [
+        4, 6, 8, 10]
+    assert _scoped(_function(MODULES["reports.py"], "_write"), _opens_for_writing)
+    assert {scope for scope, _ in _scoped(MODULES["reports.py"], _opens_for_writing)} == {
+        "_write", "_open_replacement"}
 
 
 def _keyword_is_true(call: ast.Call, name: str) -> bool:
